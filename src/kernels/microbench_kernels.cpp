@@ -2,10 +2,13 @@
 
 namespace sparta::kernels {
 
-aligned_vector<index_t> regularized_colind(const CsrMatrix& a) {
-  aligned_vector<index_t> colind(static_cast<std::size_t>(a.nnz()));
+numa_vector<index_t> regularized_colind(const CsrMatrix& a) {
+  // Each row writes only its own slots, so the fill runs in parallel and
+  // first-touches colind' from the threads instead of zero-filling it.
+  numa_vector<index_t> colind(static_cast<std::size_t>(a.nnz()));
   const auto rowptr = a.rowptr();
   const index_t nrows = a.nrows();
+#pragma omp parallel for default(none) shared(colind, rowptr, nrows) schedule(static)
   for (index_t i = 0; i < nrows; ++i) {
     for (offset_t j = rowptr[static_cast<std::size_t>(i)];
          j < rowptr[static_cast<std::size_t>(i) + 1]; ++j) {

@@ -12,13 +12,14 @@
 
 #include <span>
 
+#include "common/numa.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/partition.hpp"
 
 namespace sparta::kernels {
 
-/// colind' with every entry set to its row index.
-aligned_vector<index_t> regularized_colind(const CsrMatrix& a);
+/// colind' with every entry set to its row index (filled in parallel).
+numa_vector<index_t> regularized_colind(const CsrMatrix& a);
 
 /// Standard scalar kernel with a caller-supplied colind (used with
 /// regularized_colind for the P_ML bound).

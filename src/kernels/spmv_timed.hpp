@@ -13,13 +13,13 @@ namespace sparta::kernels {
 struct TimedRun {
   /// Wall time of the slowest thread (the kernel's makespan), seconds.
   double seconds = 0.0;
-  /// Per-partition busy time, seconds (summed over iterations).
+  /// Per-partition busy time, seconds.
   std::vector<double> thread_seconds;
 };
 
-/// Run `iterations` back-to-back baseline SpMVs over `parts`, timing each
-/// partition's work from inside the parallel region.
+/// Run one baseline SpMV over `parts`, timing each partition's work from
+/// inside the parallel region. Callers repeat it and average the times.
 TimedRun spmv_csr_timed(const CsrMatrix& a, std::span<const value_t> x, std::span<value_t> y,
-                        std::span<const RowRange> parts, int iterations);
+                        std::span<const RowRange> parts);
 
 }  // namespace sparta::kernels

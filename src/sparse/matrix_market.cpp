@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -21,6 +23,21 @@ std::string lower(std::string s) {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error{"matrix market: " + what};
+}
+
+/// Most entry lines of at least `min_line` bytes (newline included; the last
+/// line may lack it) that the rest of `is` can hold. A stream that cannot
+/// seek gets a fixed cap instead: the entry list then grows past it.
+long long entries_left(std::istream& is, long long min_line) {
+  constexpr long long kUnseekableCap = 1 << 20;
+  if (!is.good()) return 0;
+  const std::streampos here = is.tellg();
+  if (here == std::streampos(-1)) return kUnseekableCap;
+  const std::streampos end = is.seekg(0, std::ios::end).tellg();
+  is.clear();
+  is.seekg(here);
+  if (end == std::streampos(-1)) return kUnseekableCap;
+  return (static_cast<long long>(end - here) + 1) / min_line;
 }
 
 }  // namespace
@@ -48,25 +65,31 @@ CooMatrix read_coo(std::istream& is) {
   }
 
   // Skip comments, find the size line.
-  long long nrows = -1, ncols = -1, nnz = -1;
-  while (std::getline(is, line)) {
+  long long nrows = 0, ncols = 0, nnz = 0;
+  bool sized = false;
+  while (!sized && std::getline(is, line)) {
     if (line.empty() || line[0] == '%') continue;
     std::istringstream ss{line};
-    if (!(ss >> nrows >> ncols >> nnz)) fail("bad size line");
-    break;
+    if (!(ss >> nrows >> ncols >> nnz) || !(ss >> std::ws).eof()) fail("bad size line: " + line);
+    sized = true;
   }
-  if (nrows < 0) fail("missing size line");
+  if (!sized) fail("missing size line");
+  if (nrows < 0 || ncols < 0 || nnz < 0) fail("negative size: " + line);
   if (nrows > std::numeric_limits<index_t>::max() || ncols > std::numeric_limits<index_t>::max()) {
     fail("matrix dimensions exceed 32-bit index range");
   }
+  // Both dimensions fit in 32 bits, so the product cannot overflow.
+  if (nnz > nrows * ncols) fail("more entries than nrows*ncols: " + line);
 
   // Entry parsing avoids an istringstream per line (strtoll/strtod walk the
-  // line buffer directly) and grows nothing: the triplet list is reserved to
-  // the exact declared count first, and — for symmetric files — regrown once
-  // to the exact mirrored size counted during the parse (diagonal entries
-  // have no mirror, so a blanket 2*nnz reserve would over-allocate).
+  // line buffer directly). The declared count is untrusted until the entries
+  // are read, so the triplet list is reserved to it only as far as the rest
+  // of the input can hold ("1 1 1\n", or "1 1\n" for pattern files, is the
+  // shortest entry line). Symmetric files regrow once to the exact mirrored
+  // size counted during the parse (diagonal entries have no mirror, so a
+  // blanket 2*nnz reserve would over-allocate).
   std::vector<Triplet> triplets;
-  triplets.reserve(static_cast<std::size_t>(nnz));
+  triplets.reserve(static_cast<std::size_t>(std::min(nnz, entries_left(is, pattern ? 4 : 6))));
   long long seen = 0;
   long long off_diagonal = 0;
   while (seen < nnz && std::getline(is, line)) {
@@ -83,7 +106,11 @@ CooMatrix read_coo(std::istream& is) {
     if (!pattern) {
       v = std::strtod(p, &end);
       if (end == p) fail("missing value: " + line);
+      if (!std::isfinite(v)) fail("non-finite value: " + line);
+      p = end;
     }
+    while (std::isspace(static_cast<unsigned char>(*p)) != 0) ++p;
+    if (*p != '\0') fail("trailing tokens: " + line);
     if (r < 1 || r > nrows || c < 1 || c > ncols) fail("entry out of range: " + line);
     // The format stores only the lower triangle of a symmetric matrix
     // (Matrix Market spec §4): an upper-triangle entry is malformed, not an

@@ -13,7 +13,11 @@ RowScan scan_rows(const CsrMatrix& m, int values_per_line) {
   scan.clustering.resize(n);
   scan.misses.resize(n);
 
-  for (index_t i = 0; i < m.nrows(); ++i) {
+  // Each row writes only its own slots, so rows scan in parallel and every
+  // value matches the serial scan at any thread count.
+  const index_t nrows = m.nrows();
+#pragma omp parallel for default(none) shared(m, scan, nrows, values_per_line) schedule(static)
+  for (index_t i = 0; i < nrows; ++i) {
     const auto cols = m.row_cols(i);
     const auto idx = static_cast<std::size_t>(i);
     const auto nnz_i = static_cast<double>(cols.size());

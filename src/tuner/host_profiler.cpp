@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/statistics.hpp"
 #include "common/timer.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_csr.hpp"
 #include "kernels/spmv_timed.hpp"
 
 namespace sparta {
@@ -24,21 +26,56 @@ double gflops(const CsrMatrix& m, double seconds) {
   return seconds > 0.0 ? 2.0 * static_cast<double>(m.nnz()) / seconds * 1e-9 : 0.0;
 }
 
-/// Best-of-iterations wall time of a callable.
+/// Summed-time budget of each timed kernel: repetitions stop once their
+/// total reaches it, as in cusplibrary's time_spmv. With the default 16
+/// iterations it binds only when one SpMV takes longer than ~15.6 ms.
+constexpr double kKernelBudgetSeconds = 0.25;
+/// Repetitions each timed kernel runs at least (capped by `iterations`).
+constexpr int kMinRepetitions = 3;
+
+struct Repetitions {
+  double best = 1e30;  // fastest repetition, seconds
+  double mean = 0.0;   // mean repetition, seconds
+  int count = 0;
+};
+
+/// One warm-up call, then timed calls until their summed wall time reaches
+/// kKernelBudgetSeconds: never fewer than min(kMinRepetitions, max_reps),
+/// never more than max_reps (>= 1).
 template <class Fn>
-double time_kernel(Fn&& fn, int iterations) {
-  double best = 1e30;
-  for (int i = 0; i < iterations; ++i) {
-    Timer t;
+Repetitions time_repetitions(Fn&& fn, int max_reps) {
+  fn();
+  const int min_reps = std::min(kMinRepetitions, max_reps);
+  Repetitions r;
+  double total = 0.0;
+  while (r.count < max_reps && (r.count < min_reps || total < kKernelBudgetSeconds)) {
+    const Timer t;
     fn();
-    best = std::min(best, t.seconds());
+    const double s = t.seconds();
+    r.best = std::min(r.best, s);
+    total += s;
+    ++r.count;
   }
-  return best;
+  r.mean = total / r.count;
+  return r;
 }
 
-}  // namespace
+/// Timed repetitions of each bound micro-benchmark, for the trace.
+struct BoundRepetitions {
+  int csr = 0;
+  int ml = 0;
+  int cmp = 0;
+};
 
-PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& options) {
+void require_iterations(const HostProfileOptions& options) {
+  if (options.iterations < 1) {
+    throw std::invalid_argument{"HostProfileOptions::iterations must be >= 1, got " +
+                                std::to_string(options.iterations)};
+  }
+}
+
+PerfBounds profile_bounds(const CsrMatrix& m, const HostProfileOptions& options,
+                          BoundRepetitions& reps) {
   const int threads = resolve_threads(options);
   const auto parts = partition_balanced_nnz(m, threads);
 
@@ -47,29 +84,41 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
 
   PerfBounds b;
 
-  // Baseline with per-thread timing (warm-up iteration excluded).
-  kernels::spmv_csr(m, x, y, parts);
-  const auto timed = kernels::spmv_csr_timed(m, x, y, parts, options.iterations);
-  b.t_csr_seconds = timed.seconds;
-  b.thread_seconds = timed.thread_seconds;
-  b.p_csr = gflops(m, timed.seconds);
+  // Baseline with per-thread timing, averaged over the timed repetitions.
+  std::vector<double> thread_sum(parts.size(), 0.0);
+  int calls = 0;
+  const Repetitions csr = time_repetitions(
+      [&] {
+        const auto run = kernels::spmv_csr_timed(m, x, y, parts);
+        if (calls++ == 0) return;  // the warm-up call
+        for (std::size_t p = 0; p < thread_sum.size(); ++p) thread_sum[p] += run.thread_seconds[p];
+      },
+      options.iterations);
+  reps.csr = csr.count;
+  b.t_csr_seconds = csr.mean;
+  b.thread_seconds = std::move(thread_sum);
+  for (double& t : b.thread_seconds) t /= csr.count;
+  b.p_csr = gflops(m, csr.mean);
 
   std::vector<double> busy;
-  for (double t : timed.thread_seconds) {
-    if (t > 1e-3 * timed.seconds) busy.push_back(t);
+  for (double t : b.thread_seconds) {
+    if (t > 1e-3 * csr.mean) busy.push_back(t);
   }
-  const double t_median = stats::median(busy.empty() ? timed.thread_seconds : busy);
+  const double t_median = stats::median(busy.empty() ? b.thread_seconds : busy);
   b.p_imb = t_median > 0.0 ? gflops(m, t_median) : b.p_csr;
 
   // P_ML: the regularized-colind kernel.
   const auto reg_colind = kernels::regularized_colind(m);
-  b.p_ml = gflops(m, time_kernel(
-                         [&] { kernels::spmv_with_colind(m, reg_colind, x, y, parts); },
-                         options.iterations));
+  const Repetitions ml = time_repetitions(
+      [&] { kernels::spmv_with_colind(m, reg_colind, x, y, parts); }, options.iterations);
+  reps.ml = ml.count;
+  b.p_ml = gflops(m, ml.best);
 
   // P_CMP: the unit-stride kernel.
-  b.p_cmp = gflops(m, time_kernel([&] { kernels::spmv_unit_stride(m, x, y, parts); },
-                                  options.iterations));
+  const Repetitions cmp = time_repetitions(
+      [&] { kernels::spmv_unit_stride(m, x, y, parts); }, options.iterations);
+  reps.cmp = cmp.count;
+  b.p_cmp = gflops(m, cmp.best);
 
   // P_MB / P_peak from the measured STREAM bandwidth.
   StreamResult probe;
@@ -86,8 +135,17 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
   return b;
 }
 
+}  // namespace
+
+PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& options) {
+  require_iterations(options);
+  BoundRepetitions reps;
+  return profile_bounds(m, options, reps);
+}
+
 OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options,
                            const ProfileThresholds& thresholds, const ImbPolicy& imb) {
+  require_iterations(options);
   const int threads = resolve_threads(options);
   OptimizationPlan plan;
   plan.strategy = "profile-host";
@@ -95,9 +153,10 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
 
   Timer preprocessing;
   PerfBounds bounds;
+  BoundRepetitions reps;
   {
     const obs::ScopedPhase phase{phases, "bounds"};
-    bounds = measure_bounds_host(m, options);
+    bounds = profile_bounds(m, options, reps);
   }
   FeatureVector features;
   {
@@ -117,14 +176,14 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
   plan.t_pre_seconds = preprocessing.seconds();
 
   // Measure the optimized kernel.
+  Repetitions measured;
   {
     const obs::ScopedPhase phase{phases, "measure"};
     aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()), 1.0);
     aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-    prepared->run(x, y);  // warm-up
-    plan.t_spmv_seconds =
-        time_kernel([&] { prepared->run(x, y); }, options.iterations);
+    measured = time_repetitions([&] { prepared->run(x, y); }, options.iterations);
   }
+  plan.t_spmv_seconds = measured.best;
   plan.gflops = plan.t_spmv_seconds > 0.0
                     ? 2.0 * static_cast<double>(m.nnz()) / plan.t_spmv_seconds * 1e-9
                     : 0.0;
@@ -147,6 +206,10 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     t->t_pre_seconds = plan.t_pre_seconds;
     t->phases = std::move(phases);
     t->extra.emplace_back("prep_seconds", prepared->prep_seconds());
+    t->extra.emplace_back("reps_csr", reps.csr);
+    t->extra.emplace_back("reps_ml", reps.ml);
+    t->extra.emplace_back("reps_cmp", reps.cmp);
+    t->extra.emplace_back("reps_measure", measured.count);
     plan.trace = std::move(t);
   }
   return plan;

@@ -18,7 +18,10 @@ namespace sparta {
 struct HostProfileOptions {
   /// Threads for the measurement kernels (0 = all available).
   int threads = 0;
-  /// SpMV iterations per timed benchmark (paper uses 64).
+  /// Cap on the timed repetitions of each measured kernel; must be >= 1.
+  /// Each kernel runs once to warm up, then repeats until its repetitions
+  /// sum to a fixed 0.25 s budget: at least min(3, iterations) times, at
+  /// most `iterations` times. (The paper times a fixed 64 runs.)
   int iterations = 16;
   /// Reuse a previous STREAM probe instead of re-measuring (probe costs
   /// tens of ms; pass the result when profiling many matrices).
@@ -30,14 +33,17 @@ struct HostProfileOptions {
   bool collect_trace = obs::enabled();
 };
 
-/// Measure all per-class bounds on the host.
+/// Measure all per-class bounds on the host. Throws std::invalid_argument
+/// when `options.iterations` < 1.
 PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& options = {});
 
 /// Full profile-guided tuning on the host: measure bounds, classify, select
 /// and *prepare* the optimized kernel, then time it. The returned plan's
 /// gflops/t_spmv are real measurements and t_pre is the real wall-clock
 /// preprocessing cost (profiling + conversion), so the amortization formula
-/// can be applied to live data.
+/// can be applied to live data. The trace's `extra` records the timed
+/// repetitions of each kernel (reps_csr, reps_ml, reps_cmp, reps_measure).
+/// Throws std::invalid_argument when `options.iterations` < 1.
 OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options = {},
                            const ProfileThresholds& thresholds = {},
                            const ImbPolicy& imb = {});

@@ -4,6 +4,11 @@
 // regardless of the hardware.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "common/timer.hpp"
 #include "gen/generators.hpp"
 #include "kernels/spmv_timed.hpp"
 #include "tuner/host_profiler.hpp"
@@ -11,12 +16,21 @@
 namespace sparta {
 namespace {
 
+/// Timed repetitions tune_host recorded for each of its four kernels.
+std::vector<double> repetition_counts(const OptimizationPlan& plan) {
+  std::vector<double> counts;
+  for (const char* name : {"reps_csr", "reps_ml", "reps_cmp", "reps_measure"}) {
+    counts.push_back(plan.trace->value_or_zero(name));
+  }
+  return counts;
+}
+
 TEST(SpmvTimed, ProducesCorrectResultAndTimings) {
   const CsrMatrix m = gen::banded(4000, 100, 8, 801);
   aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()), 1.0);
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
   const auto parts = partition_balanced_nnz(m, 4);
-  const auto run = kernels::spmv_csr_timed(m, x, y, parts, 3);
+  const auto run = kernels::spmv_csr_timed(m, x, y, parts);
 
   aligned_vector<value_t> want(y.size());
   spmv_reference(m, x, want);
@@ -94,6 +108,54 @@ TEST(HostTune, EmptyClassSetKeepsBaselineConfig) {
   opts.iterations = 2;
   const auto plan = tune_host(m, opts);
   EXPECT_GT(plan.gflops, 0.0);
+}
+
+TEST(HostProfile, RejectsNonPositiveIterations) {
+  const CsrMatrix m = gen::banded(500, 10, 4, 805);
+  HostProfileOptions opts;
+  opts.threads = 2;
+  for (int bad : {0, -1}) {
+    opts.iterations = bad;
+    EXPECT_THROW(measure_bounds_host(m, opts), std::invalid_argument);
+    try {
+      tune_host(m, opts);
+      ADD_FAILURE() << "tune_host accepted iterations = " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("iterations"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(HostTune, SmallMatrixRunsEveryIteration) {
+  // One SpMV here is far below the time budget, so the iteration cap decides:
+  // every kernel runs exactly `iterations` timed repetitions.
+  const CsrMatrix m = gen::banded(2000, 40, 6, 806);
+  HostProfileOptions opts;
+  opts.threads = 2;
+  opts.iterations = 5;
+  opts.collect_trace = true;
+  const auto plan = tune_host(m, opts);
+  ASSERT_NE(plan.trace, nullptr);
+  for (double n : repetition_counts(plan)) EXPECT_EQ(n, 5.0);
+}
+
+TEST(HostTune, TimeBudgetBoundsRepetitions) {
+  // About 0.1-1 ms per SpMV: 100000 repetitions would take minutes per
+  // kernel, and the time budget stops each kernel well before that.
+  const CsrMatrix m = gen::banded(100000, 64, 8, 807);
+  HostProfileOptions opts;
+  opts.threads = 2;
+  opts.iterations = 100000;
+  opts.collect_trace = true;
+  const Timer t;
+  const auto plan = tune_host(m, opts);
+  const double seconds = t.seconds();
+  ASSERT_NE(plan.trace, nullptr);
+  for (double n : repetition_counts(plan)) {
+    EXPECT_GE(n, 3.0);
+    EXPECT_LT(n, 100000.0);
+  }
+  EXPECT_LT(seconds, 30.0);
 }
 
 }  // namespace

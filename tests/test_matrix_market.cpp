@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
+#include <string>
+#include <utility>
 
 #include "gen/generators.hpp"
 #include "sparse/matrix_market.hpp"
@@ -12,6 +16,34 @@
 
 namespace sparta {
 namespace {
+
+/// Read-only stream buffer over a string that cannot seek, like a pipe.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ private:
+  std::string text_;
+};
+
+/// Expects read_coo to reject `text` with "matrix market: <what>...".
+void expect_parse_error(std::istream& is, const std::string& what) {
+  try {
+    mm::read_coo(is);
+    ADD_FAILURE() << "accepted input; expected '" << what << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()}.rfind("matrix market: " + what, 0), 0u) << e.what();
+  }
+}
+
+void expect_parse_error(const std::string& text, const std::string& what) {
+  std::stringstream ss{text};
+  expect_parse_error(ss, what);
+}
+
+constexpr const char* kRealGeneral = "%%MatrixMarket matrix coordinate real general\n";
 
 TEST(MatrixMarket, WriteReadRoundTrip) {
   const CsrMatrix m = gen::banded(60, 10, 5, 21);
@@ -241,6 +273,67 @@ TEST(MatrixMarket, FileRoundTrip) {
 
 TEST(MatrixMarket, MissingFileThrows) {
   EXPECT_THROW(mm::read_csr_file("/nonexistent/path/x.mtx"), std::runtime_error);
+}
+
+// --- Hostile size lines and entries fail with a named error ----------------
+
+TEST(MatrixMarket, HugeDeclaredCountDoesNotAllocateIt) {
+  // 10^12 declared entries (16 TB of triplets) behind one real entry.
+  expect_parse_error(std::string{kRealGeneral} + "1000000 1000000 1000000000000\n1 1 1.0\n",
+                     "fewer entries than declared");
+}
+
+TEST(MatrixMarket, HugeDeclaredCountOnUnseekableStream) {
+  PipeBuf buf{std::string{kRealGeneral} + "1000000 1000000 1000000000000\n1 1 1.0\n"};
+  std::istream is{&buf};
+  expect_parse_error(is, "fewer entries than declared");
+}
+
+TEST(MatrixMarket, UnseekableStreamRoundTrip) {
+  const CsrMatrix m = gen::banded(3000, 40, 12, 22);
+  std::stringstream ss;
+  mm::write(ss, m);
+  PipeBuf buf{ss.str()};
+  std::istream is{&buf};
+  EXPECT_EQ(CsrMatrix::from_coo(mm::read_coo(is)), m);
+}
+
+TEST(MatrixMarket, RejectsNegativeEntryCount) {
+  expect_parse_error(std::string{kRealGeneral} + "2 2 -1\n", "negative size");
+}
+
+TEST(MatrixMarket, RejectsNegativeDimension) {
+  expect_parse_error(std::string{kRealGeneral} + "2 -3 1\n1 1 1.0\n", "negative size");
+}
+
+TEST(MatrixMarket, RejectsMoreEntriesThanCells) {
+  expect_parse_error(std::string{kRealGeneral} + "2 2 5\n1 1 1.0\n", "more entries than");
+}
+
+TEST(MatrixMarket, RejectsTrailingTokenOnSizeLine) {
+  expect_parse_error(std::string{kRealGeneral} + "2 2 1 7\n1 1 1.0\n", "bad size line");
+}
+
+TEST(MatrixMarket, RejectsNanValue) {
+  expect_parse_error(std::string{kRealGeneral} + "1 1 1\n1 1 nan\n", "non-finite value");
+}
+
+TEST(MatrixMarket, RejectsInfValue) {
+  expect_parse_error(std::string{kRealGeneral} + "1 1 1\n1 1 inf\n", "non-finite value");
+}
+
+TEST(MatrixMarket, RejectsTrailingTokenOnEntry) {
+  expect_parse_error(std::string{kRealGeneral} + "1 1 1\n1 1 1.0 junk\n", "trailing tokens");
+  expect_parse_error(
+      "%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1 1.0\n",
+      "trailing tokens");
+}
+
+TEST(MatrixMarket, AcceptsTrailingWhitespaceAndCrlf) {
+  std::stringstream ss{std::string{kRealGeneral} + "2 2 2\r\n1 1 1.5 \r\n2 2 -2.5\t\n"};
+  const CooMatrix coo = mm::read_coo(ss);
+  ASSERT_EQ(coo.nnz(), 2);
+  EXPECT_DOUBLE_EQ(coo.entries()[1].value, -2.5);
 }
 
 }  // namespace

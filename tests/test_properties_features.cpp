@@ -3,7 +3,11 @@
 // naive miss estimate.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "features/features.hpp"
@@ -145,6 +149,23 @@ TEST(Features, BandedMatrixBandwidthMatchesParameter) {
   const auto fv = extract_features(m);
   EXPECT_LE(fv[Feature::kBwMax], 128.0);
   EXPECT_GT(fv[Feature::kBwAvg], 0.0);
+}
+
+TEST(Features, BitIdenticalAcrossThreadCounts) {
+  // scan_rows fills each row's slots in parallel and the statistics over
+  // them stay serial, so every feature is bit-identical at any thread count.
+  const CsrMatrix m = gen::powerlaw(20000, 1.8, 400, 59);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const FeatureVector one = extract_features(m);
+  omp_set_num_threads(4);
+  const FeatureVector four = extract_features(m);
+  omp_set_num_threads(saved);
+  for (int f = 0; f < kNumFeatures; ++f) {
+    const auto k = static_cast<std::size_t>(f);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(one.v[k]), std::bit_cast<std::uint64_t>(four.v[k]))
+        << feature_name(static_cast<Feature>(f));
+  }
 }
 
 TEST(Features, ClusteringLowForBlockMatrix) {
