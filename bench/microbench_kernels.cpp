@@ -12,7 +12,6 @@
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_csr.hpp"
 #include "kernels/spmv_sell.hpp"
 #include "sparse/sell.hpp"
 #include "tuner/optimizations.hpp"

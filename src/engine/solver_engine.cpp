@@ -33,6 +33,14 @@ double sum_b(const aligned_vector<Slot>& slots, int nt) {
   return acc;
 }
 
+/// y = A x through the plan's phases, called by every thread of the
+/// region; returns the calling thread's partial w·y (0 when w is empty).
+double product(const kernels::PreparedSpmv& spmv, std::span<const value_t> x,
+               std::span<value_t> y, std::span<const value_t> w = {}) {
+  return spmv.run_team(kernels::ConstDenseBlockView::from_vector(x),
+                       kernels::DenseBlockView::from_vector(y), 1.0, 0.0, w);
+}
+
 }  // namespace
 
 SolverEngine::SolverEngine(const CsrMatrix& a, const sim::KernelConfig& cfg,
@@ -124,26 +132,22 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
   }
   Timer iter_timer;  // shared; reset/read inside barrier-ordered singles
   const kernels::PreparedSpmv& spmv = *prepared_;
-  // Symmetric storage splits each SpMV into a scatter and a barrier-ordered
-  // reduce over the same partition ownership (kernels/spmv_sym.hpp); CG is
-  // the SPD flagship, so the dispatch lives here and not in bicgstab.
-  const bool sym = spmv.symmetric_applied();
 
 #pragma omp parallel default(none) num_threads(threads_)                                   \
     shared(parts, nparts, jacobi, tol, max_it, inv_diag, b, x, r, p, ap, z, slots, st,     \
-           track, iter_timer, spmv_seconds, fused_passes, result, spmv, sym)
+           track, iter_timer, spmv_seconds, fused_passes, result, spmv)
   {
     const int nt = omp_get_num_threads();
     const int tid = omp_get_thread_num();
     Timer pass;  // fused SpMV-phase stopwatch; only thread 0 reads it
 
     const auto for_owned = [&](auto&& body) {
-      for (int pi = tid; pi < nparts; pi += nt) body(pi, parts[static_cast<std::size_t>(pi)]);
+      for (int pi = tid; pi < nparts; pi += nt) body(parts[static_cast<std::size_t>(pi)]);
     };
 
     // Setup: first-touch the owned vector slices; partial ||b||^2.
     double bb_p = 0.0;
-    for_owned([&](int, RowRange rng) {
+    for_owned([&](RowRange rng) {
       for (index_t i = rng.begin; i < rng.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         r[k] = 0.0;
@@ -162,15 +166,9 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
     }
 
     // r = b - A x; z = M^-1 r; p = z; partial rz, rr.
-    if (sym) {
-      for_owned([&](int pi, RowRange) { spmv.run_local_scatter(pi, x); });
-#pragma omp barrier
-      for_owned([&](int pi, RowRange) { spmv.run_local_reduce(pi, ap); });
-    } else {
-      for_owned([&](int pi, RowRange) { spmv.run_local(pi, x, ap); });
-    }
+    (void)product(spmv, x, ap);
     double rz_p = 0.0, rr_p = 0.0;
-    for_owned([&](int, RowRange rng) {
+    for_owned([&](RowRange rng) {
       for (index_t i = rng.begin; i < rng.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         r[k] = b[k] - ap[k];
@@ -199,20 +197,9 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
       }
       if (st.stop) break;
 
-      // Fused ap = A p with the dependent reduction p·ap. The symmetric
-      // path keeps the fusion: the dot folds into the reduce phase. The
-      // barrier after the slot writes below also orders this reduce's
-      // scratch reads against the next iteration's scatter.
+      // Fused ap = A p with the dependent reduction p·ap.
       if (tid == 0) pass.reset();
-      double pap_p = 0.0;
-      if (sym) {
-        for_owned([&](int pi, RowRange) { spmv.run_local_scatter(pi, p); });
-#pragma omp barrier
-        for_owned([&](int pi, RowRange) { pap_p += spmv.run_local_reduce_dot(pi, ap, p); });
-      } else {
-        for_owned([&](int pi, RowRange) { pap_p += spmv.run_local_dot(pi, p, ap, p); });
-      }
-      slots[static_cast<std::size_t>(tid)].a = pap_p;
+      slots[static_cast<std::size_t>(tid)].a = product(spmv, p, ap, p);
 #pragma omp barrier
       if (tid == 0) {
         spmv_seconds += pass.seconds();
@@ -220,9 +207,10 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
       }
 #pragma omp single
       {
+        // Breakdown: zero or negative curvature (A not SPD), or a NaN.
         const double pap = sum_a(slots, nt);
-        if (pap == 0.0) {
-          st.stop = true;  // breakdown
+        if (!(pap > 0.0)) {
+          st.stop = true;
         } else {
           st.alpha = st.rz / pap;
         }
@@ -231,7 +219,7 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
 
       // Fused x += alpha p; r -= alpha ap; z = M^-1 r; partial rz', r·r.
       double rz_n = 0.0, rr_n = 0.0;
-      for_owned([&](int, RowRange rng) {
+      for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
           x[k] += st.alpha * p[k];
@@ -258,7 +246,7 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
 
       // p = z + beta p; the barrier publishes p before the next SpMV gathers
       // it at arbitrary columns.
-      for_owned([&](int, RowRange rng) {
+      for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
           p[k] = z[k] + st.beta * p[k];
@@ -279,7 +267,6 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
   result.seconds = total.seconds();
   auto& reg = obs::Registry::global();
   reg.counter("engine.cg.solves").add();
-  if (sym) reg.counter("engine.cg.symmetric_solves").add();
   reg.counter("engine.cg.iterations").add(st.iters);
   reg.counter("engine.fused_spmv_dot.passes").add(fused_passes);
   if (track) {
@@ -291,19 +278,7 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
 
 void SolverEngine::spmm(kernels::ConstDenseBlockView x, kernels::DenseBlockView y,
                         value_t alpha, value_t beta) const {
-  if (x.width != y.width) {
-    throw std::invalid_argument{"engine spmm: operand width mismatch"};
-  }
-  const auto parts = prepared_->region_parts();
-  const int nparts = static_cast<int>(parts.size());
-  const kernels::PreparedSpmv& spmv = *prepared_;
-#pragma omp parallel default(none) num_threads(threads_) shared(spmv, x, y, alpha, beta, nparts)
-  {
-    const int nt = omp_get_num_threads();
-    for (int pi = omp_get_thread_num(); pi < nparts; pi += nt) {
-      spmv.run_local(pi, x, y, alpha, beta);
-    }
-  }
+  prepared_->run(x, y, alpha, beta);
   auto& reg = obs::Registry::global();
   reg.counter("engine.spmm.calls").add();
   reg.counter("engine.spmm.columns").add(static_cast<double>(x.width));
@@ -365,12 +340,12 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
     Timer pass;
 
     const auto for_owned = [&](auto&& body) {
-      for (int pi = tid; pi < nparts; pi += nt) body(pi, parts[static_cast<std::size_t>(pi)]);
+      for (int pi = tid; pi < nparts; pi += nt) body(parts[static_cast<std::size_t>(pi)]);
     };
 
     // Setup: first-touch owned slices; partial ||b||^2.
     double bb_p = 0.0;
-    for_owned([&](int, RowRange rng) {
+    for_owned([&](RowRange rng) {
       for (index_t i = rng.begin; i < rng.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         r[k] = 0.0;
@@ -391,9 +366,9 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
     }
 
     // r = b - A x; r0 = p = r (shadow residual); rho = r0·r = r·r.
-    for_owned([&](int pi, RowRange) { spmv.run_local(pi, x, v); });
+    (void)product(spmv, x, v);
     double rho_p = 0.0;
-    for_owned([&](int, RowRange rng) {
+    for_owned([&](RowRange rng) {
       for (index_t i = rng.begin; i < rng.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         r[k] = b[k] - v[k];
@@ -416,8 +391,8 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
         if (std::sqrt(st.rr) <= st.threshold) {
           st.converged = true;
           st.stop = true;
-        } else if (st.rho == 0.0) {
-          st.stop = true;  // breakdown
+        } else if (!(std::abs(st.rho) > 0.0)) {
+          st.stop = true;  // breakdown: zero or NaN
         }
         if (track && !st.stop) iter_timer.reset();
       }
@@ -425,9 +400,7 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
 
       // Fused v = A p with r0·v.
       if (tid == 0) pass.reset();
-      double r0v_p = 0.0;
-      for_owned([&](int pi, RowRange) { r0v_p += spmv.run_local_dot(pi, p, v, r0); });
-      slots[static_cast<std::size_t>(tid)].a = r0v_p;
+      slots[static_cast<std::size_t>(tid)].a = product(spmv, p, v, r0);
 #pragma omp barrier
       if (tid == 0) {
         spmv_seconds += pass.seconds();
@@ -436,7 +409,7 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
 #pragma omp single
       {
         const double r0v = sum_a(slots, nt);
-        if (r0v == 0.0) {
+        if (!(std::abs(r0v) > 0.0)) {
           st.stop = true;
         } else {
           st.alpha = st.rho / r0v;
@@ -446,7 +419,7 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
 
       // Fused s = r - alpha v with ||s||^2.
       double ss_p = 0.0;
-      for_owned([&](int, RowRange rng) {
+      for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
           s[k] = r[k] - st.alpha * v[k];
@@ -461,7 +434,7 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
         if (std::sqrt(st.ss) <= st.threshold) st.early = true;
       }
       if (st.early) {
-        for_owned([&](int, RowRange rng) {
+        for_owned([&](RowRange rng) {
           for (index_t i = rng.begin; i < rng.end; ++i) {
             const auto k = static_cast<std::size_t>(i);
             x[k] += st.alpha * p[k];
@@ -484,9 +457,9 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
 
       // Fused t = A s with t·s, plus the owned-rows t·t in the same phase.
       if (tid == 0) pass.reset();
-      double ts_p = 0.0, tt_p = 0.0;
-      for_owned([&](int pi, RowRange) { ts_p += spmv.run_local_dot(pi, s, t, s); });
-      for_owned([&](int, RowRange rng) {
+      const double ts_p = product(spmv, s, t, s);
+      double tt_p = 0.0;
+      for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
           tt_p += t[k] * t[k];
@@ -502,18 +475,18 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
       {
         const double ts = sum_a(slots, nt);
         const double tt = sum_b(slots, nt);
-        if (tt == 0.0) {
+        if (!(std::abs(tt) > 0.0)) {
           st.stop = true;
         } else {
           st.omega = ts / tt;
-          if (st.omega == 0.0) st.stop = true;
+          if (!(std::abs(st.omega) > 0.0)) st.stop = true;
         }
       }
       if (st.stop) break;
 
       // Fused x, r updates with rho' = r0·r and r·r.
       double rho_n = 0.0, rr_n = 0.0;
-      for_owned([&](int, RowRange rng) {
+      for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
           x[k] += st.alpha * p[k] + st.omega * s[k];
@@ -538,7 +511,7 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
       }
 
       // p = r + beta (p - omega v); barrier publishes p before the next SpMV.
-      for_owned([&](int, RowRange rng) {
+      for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
           p[k] = r[k] + st.beta * (p[k] - st.omega * v[k]);

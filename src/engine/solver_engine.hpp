@@ -7,11 +7,13 @@
 // single allocating thread sit on one NUMA node. This engine runs the
 // *entire* solve inside a single `#pragma omp parallel` region:
 //
-//  - each thread owns the balanced-nnz RowRange(s) from the PreparedSpmv's
-//    region partition and performs every vector operation on its own rows;
-//  - SpMV and the dependent BLAS-1 reduction are fused into one pass over
-//    the owned rows (PreparedSpmv::run_local_dot), e.g. y = A·p together
-//    with p·y for CG;
+//  - each thread owns the RowRange(s) of the PreparedSpmv's partition and
+//    performs every vector operation on its own rows;
+//  - every SpMV is one call of PreparedSpmv::run_team from every thread,
+//    which walks the plan's phases (CSR, delta, dynamic, symmetric or
+//    long-row decomposed) — the engine never branches on the format;
+//  - SpMV and the dependent BLAS-1 reduction are fused (run_team's `w`),
+//    e.g. y = A·p together with p·y for CG;
 //  - reductions use an atomic-free cache-line-padded per-thread accumulator
 //    array combined by a single thread between barriers, so every thread
 //    observes identical scalars (deterministic for a fixed thread count);
@@ -68,11 +70,10 @@ class SolverEngine {
   solvers::SolveResult bicgstab(std::span<const value_t> b, std::span<value_t> x) const;
 
   /// Y = alpha * A * X + beta * Y over dense operand blocks (X: ncols x k,
-  /// Y: nrows x k), executed inside one persistent parallel region: each
-  /// thread drives the region-reentrant block path over its owned row
-  /// ranges, so a k-wide multiply costs one fork/join — not one per column
-  /// — and reads the matrix stream once per k columns. Throws
-  /// std::invalid_argument on an operand width mismatch.
+  /// Y: nrows x k): one PreparedSpmv::run of the prepared plan, so a k-wide
+  /// multiply costs one fork/join — not one per column — and reads the
+  /// matrix stream once per k columns. Throws std::invalid_argument on an
+  /// operand width mismatch.
   void spmm(kernels::ConstDenseBlockView x, kernels::DenseBlockView y, value_t alpha = 1.0,
             value_t beta = 0.0) const;
 

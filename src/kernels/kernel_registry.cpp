@@ -18,17 +18,19 @@ namespace sparta::kernels {
 
 namespace detail_registry {
 
-/// Shared ownership of everything a prepared kernel closure needs.
-struct Prepared {
-  const CsrMatrix* source = nullptr;
-  std::optional<DeltaCsrMatrix> delta;
-  std::optional<DecomposedCsrMatrix> decomposed;
-  std::optional<SymCsrMatrix> sym;
-  std::vector<RowRange> parts;         // one-shot partitions (config-dependent)
-  std::vector<RowRange> region_parts;  // balanced-nnz thread ownership, always built
+/// The fixed phase list a plan walks per product (see PreparedSpmv).
+enum class Phases { kRows, kDynamic, kSymmetric, kDecomposed };
 
-  // Views the kernels read through — the source arrays, or the first-touch
-  // copies below when NUMA placement was requested.
+/// Everything a prepared plan executes from.
+struct Prepared {
+  Phases phases = Phases::kRows;
+  std::optional<DeltaCsrMatrix> delta;
+  std::optional<DecomposedCsrMatrix> decomposed;  // set iff kDecomposed
+  std::optional<SymCsrMatrix> sym;                // set iff kSymmetric
+  std::vector<RowRange> parts;                    // the plan's one partition
+
+  // Views the row kernels read through — the source arrays, or the
+  // first-touch copies below when NUMA placement was requested.
   CsrView view;
   DeltaView delta_view;  // valid iff delta
 
@@ -39,29 +41,43 @@ struct Prepared {
   NumaArray<std::uint8_t> ft_deltas8;
   NumaArray<std::uint16_t> ft_deltas16;
 
-  // Symmetric-storage execution state (valid iff sym): the scatter/reduce
-  // schedule is keyed to region_parts (thread ownership must match the
-  // solver engine's), and the scratch windows are sized/first-touched at
-  // prepare time so the hot path never allocates.
+  /// Scratch columns of the symmetric and decomposed plans: the largest
+  /// specialized chunk (1/2/4/8) the hinted width decomposes into. Those
+  /// plans run a product in column groups of at most this many columns, so
+  /// any runtime width executes against scratch sized at prepare time.
+  index_t cap = 1;
+
+  // Symmetric storage: the scatter/reduce schedule is keyed to `parts`, and
+  // the scratch windows are sized and first-touched at prepare time so the
+  // hot path never allocates.
   SymView sym_view;
   SymSchedule sym_sched;
   NumaArray<value_t> sym_scratch;
 
+  // Long-row decomposition: row k * nparts + p of `slice_view` is part p's
+  // even nnz slice of long row k, and its partial sums land in the same row
+  // of `slices` (cap columns per row). Part p owns long rows
+  // [long_first[p], long_first[p + 1]).
+  std::vector<offset_t> slice_rowptr;
+  CsrView slice_view;
+  NumaArray<value_t> slices;
+  std::vector<std::size_t> long_first;
+
   /// One row-range block runner per specialized chunk width — slot i handles
   /// width 1 << i (1, 2, 4, 8). This is the k-specialized impl table the
-  /// block_width hint preallocates: every execution path (one-shot and
-  /// region-reentrant) decomposes its operand width into these chunks.
+  /// block_width hint preallocates; every product decomposes its operand
+  /// width into these chunks.
   using BlockRowsFn = void (*)(const Prepared&, RowRange, ConstDenseBlockView,
                                DenseBlockView, value_t, value_t);
-  std::array<BlockRowsFn, 4> block_rows{};
+  std::array<BlockRowsFn, 4> block_rows{};  // over view (or delta_view)
+  std::array<BlockRowsFn, 4> slice_rows{};  // over slice_view
 
-  /// Preplanned greedy chunk schedule for the hinted operand width; runs
+  /// Preplanned greedy chunk schedule for the hinted operand width; products
   /// whose width matches the hint walk this instead of re-deriving it.
   index_t hint_width = 1;
   std::vector<index_t> hint_chunks;
 
-  // Region-reentrant fused SpMV+dot (one owned RowRange per call, no
-  // pragmas; single-vector by nature).
+  /// Rows of y = alpha A x + beta y fused with the partial w·y.
   double (*local_dot)(const Prepared&, RowRange, std::span<const value_t>, std::span<value_t>,
                       std::span<const value_t>, value_t, value_t) = nullptr;
 };
@@ -70,10 +86,19 @@ struct Prepared {
 
 namespace {
 
+using detail_registry::Phases;
 using detail_registry::Prepared;
 
+/// Rows per self-scheduled chunk of the dynamic plan.
+constexpr index_t kDynamicChunkRows = 64;
+
+/// Largest specialized chunk width (8/4/2/1) not exceeding `rem`.
+index_t pow2_chunk(index_t rem) {
+  return rem >= 8 ? 8 : rem >= 4 ? 4 : rem >= 2 ? 2 : 1;
+}
+
 /// Slot of the k-specialized table that handles chunk width w (1/2/4/8).
-int chunk_slot(index_t w) {
+std::size_t chunk_slot(index_t w) {
   return w == 8 ? 3 : w == 4 ? 2 : w == 2 ? 1 : 0;
 }
 
@@ -85,104 +110,37 @@ std::vector<index_t> plan_chunks(index_t width) {
   const auto count = static_cast<std::size_t>(width / 8 + ((rem & 4) != 0 ? 1 : 0) +
                                               ((rem & 2) != 0 ? 1 : 0) + ((rem & 1) != 0 ? 1 : 0));
   std::vector<index_t> plan(count);
-  std::size_t slot = 0;
   index_t c = 0;
-  while (c < width) {
-    const index_t left = width - c;
-    const index_t w = left >= 8 ? 8 : left >= 4 ? 4 : left >= 2 ? 2 : 1;
-    plan[slot++] = w;
+  for (index_t& w : plan) {
+    w = pow2_chunk(width - c);
     c += w;
   }
   return plan;
 }
 
-/// Rows `r` of Y = alpha A X + beta Y through the k-specialized impl table:
+/// Rows `r` of Y = alpha A X + beta Y through a k-specialized impl table:
 /// the preplanned chunk schedule when the width matches the preparation
 /// hint, the same greedy decomposition derived on the fly otherwise.
-void run_rows_blocked(const Prepared& p, RowRange r, ConstDenseBlockView x, DenseBlockView y,
-                      value_t alpha, value_t beta) {
+void run_rows_blocked(const Prepared& p, const std::array<Prepared::BlockRowsFn, 4>& table,
+                      RowRange r, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
+                      value_t beta) {
   if (x.width == p.hint_width) {
     index_t c = 0;
     for (const index_t w : p.hint_chunks) {
-      p.block_rows[static_cast<std::size_t>(chunk_slot(w))](p, r, x.columns(c, w),
-                                                            y.columns(c, w), alpha, beta);
+      table[chunk_slot(w)](p, r, x.columns(c, w), y.columns(c, w), alpha, beta);
       c += w;
     }
     return;
   }
-  index_t c = 0;
-  while (c < x.width) {
-    const index_t rem = x.width - c;
-    const index_t w = rem >= 8 ? 8 : rem >= 4 ? 4 : rem >= 2 ? 2 : 1;
-    p.block_rows[static_cast<std::size_t>(chunk_slot(w))](p, r, x.columns(c, w),
-                                                          y.columns(c, w), alpha, beta);
+  for (index_t c = 0; c < x.width;) {
+    const index_t w = pow2_chunk(x.width - c);
+    table[chunk_slot(w)](p, r, x.columns(c, w), y.columns(c, w), alpha, beta);
     c += w;
   }
 }
 
-/// One-shot partitioned driver (CSR or delta — the impl table decides):
-/// one partition per thread, same region shape as the historical
-/// spmv_csr_partitioned / spmv_delta_partitioned.
-void run_parts_blocked(const Prepared& p, ConstDenseBlockView x, DenseBlockView y,
-                       value_t alpha, value_t beta) {
-  const auto parts = std::span<const RowRange>{p.parts};
-#pragma omp parallel for default(none) shared(p, x, y, alpha, beta, parts) schedule(static, 1)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(parts.size()); ++i) {
-    run_rows_blocked(p, parts[static_cast<std::size_t>(i)], x, y, alpha, beta);
-  }
-}
-
-/// One-shot dynamic (auto-like) self-scheduling driver over rows.
-void run_dynamic_blocked(const Prepared& p, ConstDenseBlockView x, DenseBlockView y,
-                         value_t alpha, value_t beta) {
-  const index_t n = p.view.nrows;
-#pragma omp parallel for default(none) shared(p, x, y, alpha, beta, n) schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    run_rows_blocked(p, RowRange{i, i + 1}, x, y, alpha, beta);
-  }
-}
-
-/// One-shot symmetric-storage driver: the two-phase scatter/reduce of
-/// kernels/spmv_sym.hpp inside one parallel region, one chunk of the
-/// operand width at a time. Chunks are clamped to the schedule's scratch
-/// column capacity, so any runtime width executes against the scratch
-/// sized at prepare time.
-void run_sym_blocked(Prepared& p, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-                     value_t beta, int threads) {
-  const SymView& view = p.sym_view;
-  const SymSchedule& sched = p.sym_sched;
-  const auto nparts = sched.parts.size();
-  value_t* const scratch = p.sym_scratch.data();
-  const index_t cap = sched.cap;
-  const index_t width = x.width;
-#pragma omp parallel default(none) \
-    shared(view, sched, x, y, alpha, beta, nparts, scratch, cap, width) num_threads(threads)
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    const auto stride = static_cast<std::size_t>(omp_get_num_threads());
-    index_t c = 0;
-    while (c < width) {
-      const index_t rem = width - c;
-      index_t w = rem >= 8 ? 8 : rem >= 4 ? 4 : rem >= 2 ? 2 : 1;
-      if (w > cap) w = cap;
-      for (std::size_t pi = tid; pi < nparts; pi += stride) {
-        sym_scatter_any(view, sched, scratch, pi, x.columns(c, w));
-      }
-#pragma omp barrier
-      for (std::size_t pi = tid; pi < nparts; pi += stride) {
-        sym_reduce_any(sched, scratch, pi, y.columns(c, w), alpha, beta);
-      }
-      c += w;
-      // Order this chunk's reduce reads against the next chunk's scatter,
-      // which re-zeroes the same scratch columns.
-#pragma omp barrier
-    }
-  }
-}
-
 /// Select the <V, U, P> instantiation at runtime. The runner signature is
-/// whatever Fn::run has, so the same picker serves the one-shot and the
-/// region-reentrant tables.
+/// whatever Fn::run has, so the same picker serves every table.
 template <template <bool, bool, bool> class Fn>
 auto pick(bool vec, bool unroll, bool prefetch) {
   using Runner = decltype(&Fn<false, false, false>::run);
@@ -195,15 +153,15 @@ auto pick(bool vec, bool unroll, bool prefetch) {
   return table[vec][unroll][prefetch];
 }
 
-/// K-specialized CSR row-range runner family, nested so `pick` can select
-/// the scalar transformations per chunk width.
-template <index_t K>
+/// K-specialized CSR row-range runner family over the view `View` of the
+/// plan, nested so `pick` can select the scalar transformations.
+template <index_t K, CsrView Prepared::*View>
 struct CsrBlock {
   template <bool V, bool U, bool P>
   struct Fn {
     static void run(const Prepared& p, RowRange r, ConstDenseBlockView x, DenseBlockView y,
                     value_t alpha, value_t beta) {
-      csr_rows_block<K, V, U, P>(p.view, x, y, alpha, beta, r);
+      csr_rows_block<K, V, U, P>(p.*View, x, y, alpha, beta, r);
     }
   };
 };
@@ -213,14 +171,6 @@ void delta_block_rows(const Prepared& p, RowRange r, ConstDenseBlockView x, Dens
                       value_t alpha, value_t beta) {
   delta_rows_block<K, V>(p.delta_view, x, y, alpha, beta, r);
 }
-
-template <bool V, bool U, bool P>
-struct DecompRunner {
-  static void run(const Prepared& p, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-                  value_t beta) {
-    spmm_decomposed<V, U, P>(*p.decomposed, x, y, alpha, beta, p.parts);
-  }
-};
 
 template <bool V, bool U, bool P>
 struct LocalCsrDot {
@@ -238,12 +188,13 @@ double local_delta_dot(const Prepared& p, RowRange r, std::span<const value_t> x
   return delta_rows_local_dot<V>(p.delta_view, x, y, w, r, alpha, beta);
 }
 
-/// Fill the k-specialized impl table for the plain-CSR kernels.
+/// Fill the k-specialized impl table for the plain-CSR kernels over `View`.
+template <CsrView Prepared::*View>
 std::array<Prepared::BlockRowsFn, 4> csr_block_table(bool vec, bool unroll, bool prefetch) {
-  return {pick<CsrBlock<1>::template Fn>(vec, unroll, prefetch),
-          pick<CsrBlock<2>::template Fn>(vec, unroll, prefetch),
-          pick<CsrBlock<4>::template Fn>(vec, unroll, prefetch),
-          pick<CsrBlock<8>::template Fn>(vec, unroll, prefetch)};
+  return {pick<CsrBlock<1, View>::template Fn>(vec, unroll, prefetch),
+          pick<CsrBlock<2, View>::template Fn>(vec, unroll, prefetch),
+          pick<CsrBlock<4, View>::template Fn>(vec, unroll, prefetch),
+          pick<CsrBlock<8, View>::template Fn>(vec, unroll, prefetch)};
 }
 
 /// Fill the k-specialized impl table for the delta-compressed kernels.
@@ -279,6 +230,165 @@ struct ElemRange {
   std::ptrdiff_t last;
 };
 
+// ---------------------------------------------------------------------------
+// The plans' phases. Each runs on one thread of a team of `nt` and walks the
+// parts that thread owns (tid, tid + nt, ...); every thread of the team
+// reaches the same barriers.
+// ---------------------------------------------------------------------------
+
+/// One product's operands; `w` is the fused-dot weight vector or empty.
+struct Product {
+  ConstDenseBlockView x;
+  DenseBlockView y;
+  value_t alpha;
+  value_t beta;
+  std::span<const value_t> w;
+};
+
+/// Rows `r` of the product through the plan's row kernels: the fused dot
+/// kernel when a dot is requested, the blocked kernels otherwise. Returns
+/// the partial w·y over `r` (0 without a dot).
+double rows_pass(const Prepared& p, RowRange r, const Product& op) {
+  if (op.w.empty()) {
+    run_rows_blocked(p, p.block_rows, r, op.x, op.y, op.alpha, op.beta);
+    return 0.0;
+  }
+  return p.local_dot(p, r, {op.x.data, static_cast<std::size_t>(op.x.rows)},
+                     {op.y.data, static_cast<std::size_t>(op.y.rows)}, op.w, op.alpha,
+                     op.beta);
+}
+
+/// w·y over the owned rows (0 without a dot).
+double owned_dot(const Prepared& p, int tid, int nt, const Product& op) {
+  double dot = 0.0;
+  if (op.w.empty()) return dot;
+  const value_t* const w = op.w.data();
+  const value_t* const y = op.y.data;
+  const std::size_t np = p.parts.size();
+  for (auto pi = static_cast<std::size_t>(tid); pi < np; pi += static_cast<std::size_t>(nt)) {
+    const RowRange r = p.parts[pi];
+    for (index_t i = r.begin; i < r.end; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      dot += w[k] * y[k];
+    }
+  }
+  return dot;
+}
+
+/// CSR and delta: one phase over the owned rows.
+double run_rows(const Prepared& p, int tid, int nt, const Product& op) {
+  double dot = 0.0;
+  const std::size_t np = p.parts.size();
+  for (auto pi = static_cast<std::size_t>(tid); pi < np; pi += static_cast<std::size_t>(nt)) {
+    dot += rows_pass(p, p.parts[pi], op);
+  }
+  return dot;
+}
+
+/// Dynamic schedule: the rows self-scheduled in 64-row chunks; the loop's
+/// implicit barrier makes every row final before the fused dot walks the
+/// owned rows, so the partial sums stay deterministic.
+double run_dynamic(const Prepared& p, int tid, int nt, const Product& op) {
+  const index_t n = p.view.nrows;
+  const index_t nchunks = (n + kDynamicChunkRows - 1) / kDynamicChunkRows;
+#pragma omp for schedule(dynamic)
+  for (index_t c = 0; c < nchunks; ++c) {
+    const index_t begin = c * kDynamicChunkRows;
+    run_rows_blocked(p, p.block_rows, RowRange{begin, std::min(n, begin + kDynamicChunkRows)},
+                     op.x, op.y, op.alpha, op.beta);
+  }
+  return owned_dot(p, tid, nt, op);
+}
+
+/// Symmetric storage: per column group, scatter, then reduce. A group after
+/// the first starts with a barrier that orders the previous group's scratch
+/// reads against its scatter, which re-zeroes the windows.
+double run_symmetric(Prepared& p, int tid, int nt, const Product& op) {
+  const SymView& view = p.sym_view;
+  const SymSchedule& sched = p.sym_sched;
+  value_t* const scratch = p.sym_scratch.data();
+  const std::span<value_t> y1{op.y.data, static_cast<std::size_t>(op.y.rows)};
+  const std::size_t np = p.parts.size();
+  const index_t width = op.x.width;
+  const value_t alpha = op.alpha;
+  const value_t beta = op.beta;
+  double dot = 0.0;
+  for (index_t c = 0; c < width;) {
+    const index_t g = pow2_chunk(std::min(width - c, p.cap));
+    if (c > 0) {
+#pragma omp barrier
+    }
+    for (auto pi = static_cast<std::size_t>(tid); pi < np; pi += static_cast<std::size_t>(nt)) {
+      sym_scatter_any(view, sched, scratch, pi, op.x.columns(c, g));
+    }
+#pragma omp barrier
+    for (auto pi = static_cast<std::size_t>(tid); pi < np; pi += static_cast<std::size_t>(nt)) {
+      if (op.w.empty()) {
+        sym_reduce_any(sched, scratch, pi, op.y.columns(c, g), alpha, beta);
+      } else {
+        dot += sym_reduce_dot(sched, scratch, pi, y1, op.w, alpha, beta);
+      }
+    }
+    c += g;
+  }
+  return dot;
+}
+
+/// Long-row decomposition: per column group, the owned short rows plus
+/// each owned part's slice of every long row; then each long row's owner
+/// sums the slices in part order. A group after the first starts with a
+/// barrier that orders the previous group's slice reads against its writes.
+double run_decomposed(Prepared& p, int tid, int nt, const Product& op) {
+  const auto long_rows = p.decomposed->long_rows();
+  const std::size_t nlong = long_rows.size();
+  const std::size_t np = p.parts.size();
+  const index_t width = op.x.width;
+  const value_t alpha = op.alpha;
+  const value_t beta = op.beta;
+  const bool plain = alpha == 1.0 && beta == 0.0;
+  double dot = 0.0;
+  for (index_t c = 0; c < width;) {
+    const index_t g = pow2_chunk(std::min(width - c, p.cap));
+    const Product group{op.x.columns(c, g), op.y.columns(c, g), alpha, beta, op.w};
+    const DenseBlockView partial{p.slices.data(), static_cast<index_t>(nlong * np), g, p.cap};
+    if (c > 0) {
+#pragma omp barrier
+    }
+    for (auto pi = static_cast<std::size_t>(tid); pi < np; pi += static_cast<std::size_t>(nt)) {
+      const RowRange owned = p.parts[pi];
+      const std::size_t k_end = p.long_first[pi + 1];
+      index_t begin = owned.begin;
+      for (std::size_t k = p.long_first[pi]; k < k_end; ++k) {
+        dot += rows_pass(p, RowRange{begin, long_rows[k]}, group);
+        begin = long_rows[k] + 1;
+      }
+      dot += rows_pass(p, RowRange{begin, owned.end}, group);
+      for (std::size_t k = 0; k < nlong; ++k) {
+        const auto slice = static_cast<index_t>(k * np + pi);
+        run_rows_blocked(p, p.slice_rows, RowRange{slice, slice + 1}, group.x, partial, 1.0,
+                         0.0);
+      }
+    }
+#pragma omp barrier
+    for (auto pi = static_cast<std::size_t>(tid); pi < np; pi += static_cast<std::size_t>(nt)) {
+      const std::size_t k_end = p.long_first[pi + 1];
+      for (std::size_t k = p.long_first[pi]; k < k_end; ++k) {
+        value_t* const yr = group.y.row(long_rows[k]);
+        for (index_t cc = 0; cc < g; ++cc) {
+          value_t total = 0.0;
+          for (std::size_t q = 0; q < np; ++q) {
+            total += partial.at(static_cast<index_t>(k * np + q), cc);
+          }
+          yr[cc] = plain ? total : alpha * total + beta * yr[cc];
+        }
+        if (!op.w.empty()) dot += op.w[static_cast<std::size_t>(long_rows[k])] * yr[0];
+      }
+    }
+    c += g;
+  }
+  return dot;
+}
+
 }  // namespace
 
 PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config_(opts.config) {
@@ -288,21 +398,20 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
   threads_ = threads;
   block_width_ = opts.block_width;
   const KernelConfig& cfg = config_;
-  const bool first_touch = opts.first_touch;
   Timer timer;
   auto prepared = std::make_shared<Prepared>();
-  prepared->source = &a;
-  prepared->view = make_view(a);
-  prepared->region_parts = partition_balanced_nnz(a, threads);
-  prepared->hint_width = static_cast<index_t>(block_width_);
-  prepared->hint_chunks = plan_chunks(prepared->hint_width);
+  Prepared& p = *prepared;
+  p.view = make_view(a);
+  p.hint_width = static_cast<index_t>(block_width_);
+  p.hint_chunks = plan_chunks(p.hint_width);
+  p.cap = pow2_chunk(p.hint_width);
 
   bool use_delta = cfg.delta;
   if (use_delta) {
     auto d = DeltaCsrMatrix::compress(a, threads);
     if (d) {
-      prepared->delta = std::move(*d);
-      prepared->delta_view = make_view(*prepared->delta);
+      p.delta = std::move(*d);
+      p.delta_view = make_view(*p.delta);
       delta_applied_ = true;
     } else {
       use_delta = false;
@@ -310,38 +419,57 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
   }
 
   // Symmetric storage is exclusive with the other format rewrites (the
-  // tuner never combines them) and needs the stable thread ownership of a
-  // static schedule for its scatter/reduce windows. A matrix that turns out
-  // not to be exactly symmetric falls back to the general kernels, like an
-  // incompressible delta config.
-  const bool want_sym = cfg.symmetric && !use_delta && !cfg.decomposed &&
-                        cfg.schedule != Schedule::kDynamicChunks;
-  if (want_sym) {
+  // tuner never combines them). A matrix that turns out not to be exactly
+  // symmetric falls back to the general kernels, like an incompressible
+  // delta config.
+  if (cfg.symmetric && !use_delta && !cfg.decomposed &&
+      cfg.schedule != Schedule::kDynamicChunks) {
     try {
-      prepared->sym = SymCsrMatrix::build(a, threads);
+      p.sym = SymCsrMatrix::build(a, threads);
       symmetric_applied_ = true;
     } catch (const std::invalid_argument&) {
       symmetric_applied_ = false;
     }
   }
+  // Long-row decomposition runs on the CSR kernels (the tuner never
+  // combines MB with IMB formats); a matrix without long rows keeps the
+  // one-phase row plan.
+  if (cfg.decomposed && !use_delta) {
+    auto d = DecomposedCsrMatrix::decompose(a, /*threshold=*/0, threads);
+    if (!d.long_rows().empty()) p.decomposed = std::move(d);
+  }
   if (symmetric_applied_) {
-    prepared->sym_view = make_view(*prepared->sym);
-    // Scratch column capacity: the largest specialized chunk (1/2/4/8) the
-    // hinted operand width decomposes into; wider runs clamp their chunks.
-    index_t cap = 1;
-    while (cap < 8 && cap * 2 <= prepared->hint_width) cap *= 2;
-    prepared->sym_sched = plan_sym_schedule(prepared->sym_view, prepared->region_parts, cap);
-    prepared->sym_scratch = NumaArray<value_t>(prepared->sym_sched.scratch_elems);
+    p.phases = Phases::kSymmetric;
+  } else if (p.decomposed) {
+    p.phases = Phases::kDecomposed;
+  } else if (cfg.schedule == Schedule::kDynamicChunks) {
+    p.phases = Phases::kDynamic;
+  }
+
+  // The plan's one partition: thread ownership of every phase and of the
+  // solver engine's vector operations.
+  if (cfg.schedule == Schedule::kStaticRows) {
+    p.parts = partition_equal_rows(a.nrows(), threads);
+  } else if (p.decomposed) {
+    p.parts = partition_balanced_nnz(p.decomposed->short_part(), threads);
+  } else {
+    p.parts = partition_balanced_nnz(a, threads);
+  }
+  const std::size_t np = p.parts.size();
+
+  if (symmetric_applied_) {
+    p.sym_view = make_view(*p.sym);
+    p.sym_sched = plan_sym_schedule(p.sym_view, p.parts, p.cap);
+    p.sym_scratch = NumaArray<value_t>(p.sym_sched.scratch_elems);
     // First-touch the scratch windows from their owning threads (the same
     // part -> thread mapping the scatter uses), zeroing all cap columns.
-    const SymSchedule& sched = prepared->sym_sched;
-    value_t* const scratch = prepared->sym_scratch.data();
-    const std::size_t nparts = sched.parts.size();
-#pragma omp parallel default(none) shared(sched, scratch, nparts) num_threads(threads)
+    const SymSchedule& sched = p.sym_sched;
+    value_t* const scratch = p.sym_scratch.data();
+#pragma omp parallel default(none) shared(sched, scratch, np) num_threads(threads)
     {
       const auto tid = static_cast<std::size_t>(omp_get_thread_num());
       const auto stride = static_cast<std::size_t>(omp_get_num_threads());
-      for (std::size_t pi = tid; pi < nparts; pi += stride) {
+      for (std::size_t pi = tid; pi < np; pi += stride) {
         const auto rows = static_cast<std::size_t>(sched.parts[pi].end - sched.base[pi]);
         std::fill(scratch + sched.offset[pi],
                   scratch + sched.offset[pi] + rows * static_cast<std::size_t>(sched.cap), 0.0);
@@ -349,30 +477,40 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
     }
   }
 
-  const CsrMatrix* part_source = &a;
-  if (cfg.decomposed) {
-    prepared->decomposed = DecomposedCsrMatrix::decompose(a, /*threshold=*/0, threads);
-    part_source = &prepared->decomposed->short_part();
-  }
-
-  // Delta and decomposed kernels always run over explicit partitions on the
-  // host (there is no dynamic-schedule variant of them); plain CSR with the
-  // dynamic schedule is the only partition-less path.
-  const bool needs_parts =
-      use_delta || cfg.decomposed || cfg.schedule != Schedule::kDynamicChunks;
-  if (needs_parts) {
-    prepared->parts = cfg.schedule == Schedule::kStaticRows
-                          ? partition_equal_rows(part_source->nrows(), threads)
-                          : partition_balanced_nnz(*part_source, threads);
+  if (p.decomposed) {
+    // Cut every long row into np even nnz slices, slice q of long row k
+    // becoming row k * np + q of slice_view.
+    const DecomposedCsrMatrix& d = *p.decomposed;
+    const auto lrp = d.long_rowptr();
+    const auto long_rows = d.long_rows();
+    const std::size_t nlong = long_rows.size();
+    p.slice_rowptr.resize(nlong * np + 1);
+    for (std::size_t k = 0; k < nlong; ++k) {
+      const offset_t len = lrp[k + 1] - lrp[k];
+      for (std::size_t q = 0; q < np; ++q) {
+        p.slice_rowptr[k * np + q] =
+            lrp[k] + len * static_cast<offset_t>(q) / static_cast<offset_t>(np);
+      }
+    }
+    p.slice_rowptr[nlong * np] = lrp[nlong];
+    p.slice_view = CsrView{p.slice_rowptr, d.long_colind(), d.long_values(),
+                           static_cast<index_t>(nlong * np)};
+    p.slices = NumaArray<value_t>(nlong * np * static_cast<std::size_t>(p.cap));
+    p.long_first.resize(np + 1);
+    for (std::size_t q = 0; q < np; ++q) {
+      p.long_first[q] = static_cast<std::size_t>(
+          std::lower_bound(long_rows.begin(), long_rows.end(), p.parts[q].begin) -
+          long_rows.begin());
+    }
+    p.long_first[np] = nlong;
   }
 
   // NUMA first-touch copies of the streaming arrays, initialized by the
-  // owning threads. Decomposed and dynamic-schedule configs have no stable
-  // per-thread row ownership and keep the source arrays.
-  if (first_touch && !cfg.decomposed && cfg.schedule != Schedule::kDynamicChunks) {
-    const auto parts = std::span<const RowRange>{prepared->region_parts};
+  // owning threads. Only the one-phase row plan reads them by owned row.
+  if (opts.first_touch && p.phases == Phases::kRows) {
+    const auto parts = std::span<const RowRange>{p.parts};
     if (use_delta) {
-      const DeltaCsrMatrix& d = *prepared->delta;
+      const DeltaCsrMatrix& d = *p.delta;
       const auto rp = d.rowptr();
       const auto rowptr_range = [&](RowRange r, bool last) {
         return ElemRange{r.begin, last ? static_cast<std::ptrdiff_t>(rp.size()) : r.end};
@@ -382,19 +520,17 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
                          rp[static_cast<std::size_t>(r.end)]};
       };
       const auto row_range = [&](RowRange r, bool) { return ElemRange{r.begin, r.end}; };
-      first_touch_copy(rp, prepared->ft_rowptr, parts, threads, rowptr_range);
-      first_touch_copy(d.first_col(), prepared->ft_first_col, parts, threads, row_range);
-      first_touch_copy(d.values(), prepared->ft_values, parts, threads, nnz_range);
+      first_touch_copy(rp, p.ft_rowptr, parts, threads, rowptr_range);
+      first_touch_copy(d.first_col(), p.ft_first_col, parts, threads, row_range);
+      first_touch_copy(d.values(), p.ft_values, parts, threads, nnz_range);
       if (d.width() == DeltaWidth::k8) {
-        first_touch_copy(d.deltas8(), prepared->ft_deltas8, parts, threads, nnz_range);
+        first_touch_copy(d.deltas8(), p.ft_deltas8, parts, threads, nnz_range);
       } else {
-        first_touch_copy(d.deltas16(), prepared->ft_deltas16, parts, threads, nnz_range);
+        first_touch_copy(d.deltas16(), p.ft_deltas16, parts, threads, nnz_range);
       }
-      prepared->delta_view =
-          DeltaView{prepared->ft_rowptr.span(),  prepared->ft_first_col.span(),
-                    prepared->ft_deltas8.span(), prepared->ft_deltas16.span(),
-                    prepared->ft_values.span(),  d.width(),
-                    d.nrows()};
+      p.delta_view = DeltaView{p.ft_rowptr.span(),  p.ft_first_col.span(), p.ft_deltas8.span(),
+                               p.ft_deltas16.span(), p.ft_values.span(),    d.width(),
+                               d.nrows()};
     } else {
       const auto rp = a.rowptr();
       const auto rowptr_range = [&](RowRange r, bool last) {
@@ -404,66 +540,38 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config
         return ElemRange{rp[static_cast<std::size_t>(r.begin)],
                          rp[static_cast<std::size_t>(r.end)]};
       };
-      first_touch_copy(rp, prepared->ft_rowptr, parts, threads, rowptr_range);
-      first_touch_copy(a.colind(), prepared->ft_colind, parts, threads, nnz_range);
-      first_touch_copy(a.values(), prepared->ft_values, parts, threads, nnz_range);
-      prepared->view = CsrView{prepared->ft_rowptr.span(), prepared->ft_colind.span(),
-                               prepared->ft_values.span(), a.nrows()};
+      first_touch_copy(rp, p.ft_rowptr, parts, threads, rowptr_range);
+      first_touch_copy(a.colind(), p.ft_colind, parts, threads, nnz_range);
+      first_touch_copy(a.values(), p.ft_values, parts, threads, nnz_range);
+      p.view = CsrView{p.ft_rowptr.span(), p.ft_colind.span(), p.ft_values.span(), a.nrows()};
     }
     first_touch_applied_ = true;
   }
 
-  // The k-specialized impl table: delta when applied, otherwise the
-  // plain-CSR row kernels with the config's scalar transformations
-  // (decomposed and dynamic configs fall back to these on the
-  // region-reentrant path — row results are identical).
+  // The k-specialized impl tables: delta when applied, otherwise the
+  // plain-CSR row kernels with the config's scalar transformations.
   if (use_delta) {
-    prepared->block_rows = delta_block_table(cfg.vectorized);
-    prepared->local_dot = cfg.vectorized ? &local_delta_dot<true> : &local_delta_dot<false>;
+    p.block_rows = delta_block_table(cfg.vectorized);
+    p.local_dot = cfg.vectorized ? &local_delta_dot<true> : &local_delta_dot<false>;
   } else {
-    const bool vec = cfg.vectorized && !cfg.decomposed;
-    prepared->block_rows = csr_block_table(vec, cfg.unrolled, cfg.prefetch);
-    prepared->local_dot = pick<LocalCsrDot>(vec, cfg.unrolled, cfg.prefetch);
+    p.block_rows = csr_block_table<&Prepared::view>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
+    p.local_dot = pick<LocalCsrDot>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
   }
-
-  // One-shot dispatch. Delta excludes decomposition/dynamic in the host
-  // registry (the tuner never combines MB with IMB formats; see
-  // tuner/optimizations.cpp). Partitioned configs — plain or delta — share
-  // the blocked partition driver; the impl table already carries the format.
-  if (symmetric_applied_) {
-    const int nthreads = threads;
-    impl_ = [prepared, nthreads](ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-                                 value_t beta) {
-      run_sym_blocked(*prepared, x, y, alpha, beta, nthreads);
-    };
-  } else if (cfg.decomposed && !use_delta) {
-    auto runner = pick<DecompRunner>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
-    impl_ = [prepared, runner](ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-                               value_t beta) { runner(*prepared, x, y, alpha, beta); };
-  } else if (!use_delta && cfg.schedule == Schedule::kDynamicChunks) {
-    impl_ = [prepared](ConstDenseBlockView x, DenseBlockView y, value_t alpha, value_t beta) {
-      run_dynamic_blocked(*prepared, x, y, alpha, beta);
-    };
-  } else {
-    impl_ = [prepared](ConstDenseBlockView x, DenseBlockView y, value_t alpha, value_t beta) {
-      run_parts_blocked(*prepared, x, y, alpha, beta);
-    };
+  if (p.decomposed) {
+    p.slice_rows =
+        csr_block_table<&Prepared::slice_view>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
   }
-  // Post-preparation structural contracts: the thread-ownership partition
-  // must cover the matrix exactly (a gap loses rows silently inside the
-  // persistent region), and the one-shot partition must cover whatever
-  // matrix its kernels iterate (the short part under decomposition).
-  SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{prepared->region_parts}, a.nrows());
-  if (!prepared->parts.empty()) {
-    SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{prepared->parts}, part_source->nrows());
-  }
+  // Post-preparation structural contract: the partition must cover the
+  // matrix exactly (a gap loses rows silently inside a persistent region).
+  SPARTA_CHECK_STRUCTURE(std::span<const RowRange>{p.parts}, a.nrows());
   prepared_ = std::move(prepared);
   prep_seconds_ = timer.seconds();
 
-  // Streaming-byte model for one run(): the matrix arrays in the format the
-  // kernel actually reads are streamed once regardless of the operand width
-  // (the SpMM amortization), while the dense operands (x read, y written)
-  // cost their footprint per column. bytes_per_run(width) combines the two.
+  // Streaming-byte model for one product: the matrix arrays in the format
+  // the kernel actually reads are streamed once regardless of the operand
+  // width (the SpMM amortization), while the dense operands (x read, y
+  // written) cost their footprint per column. bytes_per_run(width)
+  // combines the two.
   const auto dnnz = static_cast<double>(a.nnz());
   const auto dnrows = static_cast<double>(a.nrows());
   double index_bytes = dnnz * static_cast<double>(sizeof(index_t));
@@ -500,10 +608,10 @@ void PreparedSpmv::run(ConstDenseBlockView x, DenseBlockView y, value_t alpha,
   if (x.width != y.width) {
     throw std::invalid_argument{"PreparedSpmv::run: operand width mismatch"};
   }
-  run_calls_.add();
-  run_bytes_.add(bytes_per_run(static_cast<int>(x.width)));
   run_width_.set(static_cast<double>(x.width));
-  impl_(x, y, alpha, beta);
+  const PreparedSpmv& self = *this;
+#pragma omp parallel default(none) shared(self, x, y, alpha, beta) num_threads(threads_)
+  { (void)self.run_team(x, y, alpha, beta); }
 }
 
 void PreparedSpmv::run(std::span<const value_t> x, std::span<value_t> y, value_t alpha,
@@ -511,55 +619,31 @@ void PreparedSpmv::run(std::span<const value_t> x, std::span<value_t> y, value_t
   run(ConstDenseBlockView::from_vector(x), DenseBlockView::from_vector(y), alpha, beta);
 }
 
+double PreparedSpmv::run_team(ConstDenseBlockView x, DenseBlockView y, value_t alpha,
+                              value_t beta, std::span<const value_t> w) const {
+  const int tid = omp_get_thread_num();
+  const int nt = omp_get_num_threads();
+  if (tid == 0) {
+    run_calls_.add();
+    run_bytes_.add(bytes_per_run(static_cast<int>(x.width)));
+  }
+  Prepared& p = *prepared_;
+  const Product op{x, y, alpha, beta, w};
+  switch (p.phases) {
+    case Phases::kDynamic:
+      return run_dynamic(p, tid, nt, op);
+    case Phases::kSymmetric:
+      return run_symmetric(p, tid, nt, op);
+    case Phases::kDecomposed:
+      return run_decomposed(p, tid, nt, op);
+    case Phases::kRows:
+      break;
+  }
+  return run_rows(p, tid, nt, op);
+}
+
 std::span<const RowRange> PreparedSpmv::region_parts() const {
-  return prepared_->region_parts;
-}
-
-void PreparedSpmv::run_local(int part, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-                             value_t beta) const {
-  run_rows_blocked(*prepared_, prepared_->region_parts[static_cast<std::size_t>(part)], x, y,
-                   alpha, beta);
-}
-
-void PreparedSpmv::run_local(int part, std::span<const value_t> x, std::span<value_t> y,
-                             value_t alpha, value_t beta) const {
-  run_local(part, ConstDenseBlockView::from_vector(x), DenseBlockView::from_vector(y), alpha,
-            beta);
-}
-
-double PreparedSpmv::run_local_dot(int part, std::span<const value_t> x, std::span<value_t> y,
-                                   std::span<const value_t> w, value_t alpha,
-                                   value_t beta) const {
-  return prepared_->local_dot(*prepared_,
-                              prepared_->region_parts[static_cast<std::size_t>(part)], x, y, w,
-                              alpha, beta);
-}
-
-namespace {
-[[noreturn]] void fail_not_symmetric() {
-  throw std::logic_error{"PreparedSpmv: symmetric storage not applied"};
-}
-}  // namespace
-
-void PreparedSpmv::run_local_scatter(int part, std::span<const value_t> x) const {
-  if (!symmetric_applied_) fail_not_symmetric();
-  sym_scatter_any(prepared_->sym_view, prepared_->sym_sched, prepared_->sym_scratch.data(),
-                  static_cast<std::size_t>(part), ConstDenseBlockView::from_vector(x));
-}
-
-void PreparedSpmv::run_local_reduce(int part, std::span<value_t> y, value_t alpha,
-                                    value_t beta) const {
-  if (!symmetric_applied_) fail_not_symmetric();
-  sym_reduce_any(prepared_->sym_sched, prepared_->sym_scratch.data(),
-                 static_cast<std::size_t>(part), DenseBlockView::from_vector(y), alpha, beta);
-}
-
-double PreparedSpmv::run_local_reduce_dot(int part, std::span<value_t> y,
-                                          std::span<const value_t> w, value_t alpha,
-                                          value_t beta) const {
-  if (!symmetric_applied_) fail_not_symmetric();
-  return sym_reduce_dot(prepared_->sym_sched, prepared_->sym_scratch.data(),
-                        static_cast<std::size_t>(part), y, w, alpha, beta);
+  return prepared_->parts;
 }
 
 }  // namespace sparta::kernels

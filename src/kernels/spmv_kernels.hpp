@@ -15,30 +15,24 @@
 // blocks (block_view.hpp): X is ncols x k, Y is nrows x k. The matrix stream
 // (rowptr/colind/values) is read ONCE per k operand columns — the SpMM
 // amortization of Saule/Kaya/Catalyurek (arXiv:1302.1078) — with the column
-// count register-blocked at compile time for k in {1, 2, 4, 8}; other widths
-// decompose greedily into those chunks (`*_rows_block_any`). The k = 1
-// instantiation delegates to the same scalar row bodies the historical
-// single-vector path compiled to, and alpha = 1, beta = 0 takes a branch to
-// the direct store, so the vector API (a width-1 block) is bit-identical to
-// the pre-block code.
+// count register-blocked at compile time for k in {1, 2, 4, 8}; the registry
+// decomposes other widths greedily into those chunks. The k = 1
+// instantiation runs the scalar row bodies (`detail::csr_row` /
+// `detail::delta_row`) once per row, and alpha = 1, beta = 0 takes a branch
+// to the direct store, so a contiguous width-1 product is bit-identical to
+// a per-row loop over those bodies.
 //
-// Two entry-point families exist per format:
-//  - `spmm_*` open their own OpenMP parallel region (one-shot calls);
-//  - `*_rows_block` / `*_rows_block_any` compute a single RowRange with no
-//    pragmas, so a caller that already owns a persistent parallel region
-//    (the solver engine) can drive them once per owned range without
-//    fork/join. The `*_dot` variants additionally fuse the dependent
-//    reduction w·y into the same row pass (single-vector by nature).
+// Every kernel here computes a single RowRange with no OpenMP pragmas
+// beyond simd: the registry's phases (PreparedSpmv::run_team) decide which
+// thread runs which rows. The `*_dot` variants additionally fuse the
+// dependent reduction w·y into the same row pass (single-vector by nature).
 #pragma once
-
-#include <omp.h>
 
 #include <array>
 #include <span>
 
 #include "kernels/block_view.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 
@@ -326,59 +320,6 @@ inline void delta_rows_block(const DeltaView& a, ConstDenseBlockView x, DenseBlo
   }
 }
 
-/// Arbitrary-width driver: greedily decomposes the operand width into the
-/// specialized chunks (8, 4, 2, 1), re-reading the matrix stream once per
-/// chunk. Width 1 therefore takes exactly one K = 1 pass — the historical
-/// single-vector code path.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-inline void csr_rows_block_any(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
-                               value_t alpha, value_t beta, RowRange r) {
-  index_t c = 0;
-  while (c < x.width) {
-    const index_t rem = x.width - c;
-    if (rem >= 8) {
-      csr_rows_block<8, Vectorize, Unroll, Prefetch>(a, x.columns(c, 8), y.columns(c, 8),
-                                                     alpha, beta, r);
-      c += 8;
-    } else if (rem >= 4) {
-      csr_rows_block<4, Vectorize, Unroll, Prefetch>(a, x.columns(c, 4), y.columns(c, 4),
-                                                     alpha, beta, r);
-      c += 4;
-    } else if (rem >= 2) {
-      csr_rows_block<2, Vectorize, Unroll, Prefetch>(a, x.columns(c, 2), y.columns(c, 2),
-                                                     alpha, beta, r);
-      c += 2;
-    } else {
-      csr_rows_block<1, Vectorize, Unroll, Prefetch>(a, x.columns(c, 1), y.columns(c, 1),
-                                                     alpha, beta, r);
-      c += 1;
-    }
-  }
-}
-
-/// Arbitrary-width driver over the delta format (see csr_rows_block_any).
-template <bool Vectorize>
-inline void delta_rows_block_any(const DeltaView& a, ConstDenseBlockView x, DenseBlockView y,
-                                 value_t alpha, value_t beta, RowRange r) {
-  index_t c = 0;
-  while (c < x.width) {
-    const index_t rem = x.width - c;
-    if (rem >= 8) {
-      delta_rows_block<8, Vectorize>(a, x.columns(c, 8), y.columns(c, 8), alpha, beta, r);
-      c += 8;
-    } else if (rem >= 4) {
-      delta_rows_block<4, Vectorize>(a, x.columns(c, 4), y.columns(c, 4), alpha, beta, r);
-      c += 4;
-    } else if (rem >= 2) {
-      delta_rows_block<2, Vectorize>(a, x.columns(c, 2), y.columns(c, 2), alpha, beta, r);
-      c += 2;
-    } else {
-      delta_rows_block<1, Vectorize>(a, x.columns(c, 1), y.columns(c, 1), alpha, beta, r);
-      c += 1;
-    }
-  }
-}
-
 /// Rows of y = alpha A x + beta y fused with the dependent partial
 /// reduction: returns sum over i in [r.begin, r.end) of w[i] * y[i] (the
 /// updated y). Each row result feeds the reduction in the same pass, so y is
@@ -426,97 +367,6 @@ inline double delta_rows_local_dot(const DeltaView& a, std::span<const value_t> 
     acc += w[k] * yi;
   }
   return acc;
-}
-
-// ---------------------------------------------------------------------------
-// One-shot entry points (open their own parallel region).
-// ---------------------------------------------------------------------------
-
-/// Plain CSR over precomputed row partitions (one partition per thread):
-/// Y = alpha A X + beta Y.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_csr_partitioned(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
-                          value_t alpha, value_t beta, std::span<const RowRange> parts) {
-#pragma omp parallel for default(none) shared(a, x, y, alpha, beta, parts) schedule(static, 1)
-  for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(parts.size()); ++p) {
-    csr_rows_block_any<Vectorize, Unroll, Prefetch>(a, x, y, alpha, beta,
-                                                    parts[static_cast<std::size_t>(p)]);
-  }
-}
-
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_csr_partitioned(const CsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
-                          value_t alpha, value_t beta, std::span<const RowRange> parts) {
-  spmm_csr_partitioned<Vectorize, Unroll, Prefetch>(make_view(a), x, y, alpha, beta, parts);
-}
-
-/// Plain CSR with OpenMP dynamic (auto-like) self-scheduling over rows:
-/// Y = alpha A X + beta Y.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_csr_dynamic(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
-                      value_t alpha, value_t beta) {
-  const index_t n = a.nrows;
-#pragma omp parallel for default(none) shared(a, x, y, alpha, beta, n) schedule(dynamic, 64)
-  for (index_t i = 0; i < n; ++i) {
-    csr_rows_block_any<Vectorize, Unroll, Prefetch>(a, x, y, alpha, beta,
-                                                    RowRange{i, i + 1});
-  }
-}
-
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_csr_dynamic(const CsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
-                      value_t alpha, value_t beta) {
-  spmm_csr_dynamic<Vectorize, Unroll, Prefetch>(make_view(a), x, y, alpha, beta);
-}
-
-/// Delta-compressed CSR over row partitions: Y = alpha A X + beta Y.
-template <bool Vectorize>
-void spmm_delta_partitioned(const DeltaView& a, ConstDenseBlockView x, DenseBlockView y,
-                            value_t alpha, value_t beta, std::span<const RowRange> parts) {
-#pragma omp parallel for default(none) shared(a, x, y, alpha, beta, parts) schedule(static, 1)
-  for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(parts.size()); ++p) {
-    delta_rows_block_any<Vectorize>(a, x, y, alpha, beta, parts[static_cast<std::size_t>(p)]);
-  }
-}
-
-template <bool Vectorize>
-void spmm_delta_partitioned(const DeltaCsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
-                            value_t alpha, value_t beta, std::span<const RowRange> parts) {
-  spmm_delta_partitioned<Vectorize>(make_view(a), x, y, alpha, beta, parts);
-}
-
-/// Decomposed CSR (IMB class): Y = alpha A X + beta Y with short rows over
-/// the partitioned kernel and each long row computed cooperatively by all
-/// threads, column by column, with an OpenMP reduction. The short-part pass
-/// already deposited alpha*0 + beta*Y_old in the long-row slots (long rows
-/// are emptied in the short part), so the long-row store *adds* alpha*total
-/// to the slot instead of rescaling it by beta a second time.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-void spmm_decomposed(const DecomposedCsrMatrix& a, ConstDenseBlockView x, DenseBlockView y,
-                     value_t alpha, value_t beta, std::span<const RowRange> parts) {
-  spmm_csr_partitioned<Vectorize, Unroll, Prefetch>(a.short_part(), x, y, alpha, beta, parts);
-
-  const bool plain = alpha == 1.0 && beta == 0.0;
-  const auto rowptr = a.long_rowptr();
-  const auto colind = a.long_colind();
-  const auto values = a.long_values();
-  const auto long_rows = a.long_rows();
-  for (std::size_t k = 0; k < long_rows.size(); ++k) {
-    const auto b = rowptr[k];
-    const auto e = rowptr[k + 1];
-    const index_t row = long_rows[k];
-    for (index_t c = 0; c < x.width; ++c) {
-      value_t total = 0.0;
-#pragma omp parallel for default(none) shared(values, colind, x, b, e, c) \
-    reduction(+ : total) schedule(static)
-      for (offset_t j = b; j < e; ++j) {
-        const auto idx = static_cast<std::size_t>(j);
-        total += values[idx] * x.at(colind[idx], c);
-      }
-      value_t& yv = y.at(row, c);
-      yv = plain ? total : alpha * total + yv;
-    }
-  }
 }
 
 }  // namespace sparta::kernels

@@ -26,13 +26,13 @@
 // store: mirrors into row i come only from rows > i, which the ascending row
 // loop has not reached yet, so the store cannot lose contributions.
 //
-// The scratch windows are sized by plan_sym_schedule and meant to be
-// allocated/first-touched once at prepare time (kernel_registry) with
-// `cap` columns per row; a K-column pass uses columns [0, K) of each window
-// row, so one allocation serves every chunk of the greedy width
-// decomposition. Like the other formats, `spmm_sym`/`spmv_sym` open their
-// own parallel region while the *_block kernels are region-reentrant
-// (no pragmas beyond simd) for the solver engine's persistent region.
+// The scratch windows are sized by plan_sym_schedule and allocated/first-
+// touched once at prepare time (kernel_registry) with `cap` columns per
+// row; a K-column pass uses columns [0, K) of each window row, so one
+// allocation serves every chunk of the greedy width decomposition. Like the
+// other formats, these kernels have no pragmas beyond simd: the registry's
+// symmetric plan (PreparedSpmv::run_team) places the barrier between the
+// two phases.
 #pragma once
 
 #include <array>
@@ -177,19 +177,9 @@ void sym_reduce_any(const SymSchedule& sched, const value_t* SPARTA_RESTRICT scr
 /// Width-1 reduce fused with the dependent partial reduction: stores
 /// y[i] = alpha * sum + beta * y[i] for partition `part`'s rows and returns
 /// sum over those rows of w[i] * y[i] (the updated y) — the symmetric twin
-/// of csr_rows_local_dot for the solver engine's fused CG pass.
+/// of csr_rows_local_dot for the symmetric plan's fused dot.
 double sym_reduce_dot(const SymSchedule& sched, const value_t* SPARTA_RESTRICT scratch,
                       std::size_t part, std::span<value_t> y, std::span<const value_t> w,
                       value_t alpha = 1.0, value_t beta = 0.0);
-
-/// One-shot Y = alpha A X + beta Y over symmetric storage (own parallel
-/// region, equal-rows partition, scratch allocated internally). `threads` = 0
-/// means omp_get_max_threads().
-void spmm_sym(const SymCsrMatrix& a, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
-              value_t beta, int threads = 0);
-
-/// Single-vector wrapper: y = A x.
-void spmv_sym(const SymCsrMatrix& a, std::span<const value_t> x, std::span<value_t> y,
-              int threads = 0);
 
 }  // namespace sparta::kernels

@@ -42,13 +42,13 @@ SolveResult bicgstab(const CsrMatrix& a, std::span<const value_t> b, std::span<v
       result.converged = true;
       break;
     }
-    if (rho == 0.0) break;  // breakdown
+    if (!(std::abs(rho) > 0.0)) break;  // breakdown: zero or NaN
 
     spmv_timer.reset();
     mv(p, v);
     result.spmv_seconds += spmv_timer.seconds();
     const double r0v = dot(r0, v);
-    if (r0v == 0.0) break;
+    if (!(std::abs(r0v) > 0.0)) break;
     const double alpha = rho / r0v;
     for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
 
@@ -65,9 +65,9 @@ SolveResult bicgstab(const CsrMatrix& a, std::span<const value_t> b, std::span<v
     mv(s, t);
     result.spmv_seconds += spmv_timer.seconds();
     const double tt = dot(t, t);
-    if (tt == 0.0) break;
+    if (!(std::abs(tt) > 0.0)) break;
     const double omega = dot(t, s) / tt;
-    if (omega == 0.0) break;
+    if (!(std::abs(omega) > 0.0)) break;
 
     for (std::size_t i = 0; i < n; ++i) x[i] += alpha * p[i] + omega * s[i];
     for (std::size_t i = 0; i < n; ++i) r[i] = s[i] - omega * t[i];

@@ -89,8 +89,9 @@ SolveResult cg(const CsrMatrix& a, std::span<const value_t> b, std::span<value_t
     mv(p, ap);
     result.spmv_seconds += spmv_timer.seconds();
 
+    // Breakdown: zero or negative curvature (A not SPD), or a NaN.
     const double p_ap = dot(p, ap);
-    if (p_ap == 0.0) break;  // breakdown
+    if (!(p_ap > 0.0)) break;
     const double alpha = rz / p_ap;
     axpy(alpha, p, x);
     axpy(-alpha, ap, r);

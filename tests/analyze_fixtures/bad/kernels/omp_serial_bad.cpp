@@ -1,6 +1,5 @@
 // Fixture: omp.hot-critical and omp.unpadded-atomic must fire — serializing
-// constructs and false-sharing atomics in a hot module (these replace
-// sparta_lint's regex omp-critical / shared-counter heuristics).
+// constructs and false-sharing atomics in a hot module.
 #include <atomic>
 
 namespace fixture {

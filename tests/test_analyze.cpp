@@ -190,6 +190,22 @@ TEST(PurityRule, ColdModulesAreExempt) {
   EXPECT_FALSE(has_rule(f, "purity.alloc"));
 }
 
+TEST(RawAssertRule, FlagsAssertCallsOnlyInLibraryTrees) {
+  const std::string src =
+      "static_assert(sizeof(int) == 4, \"assert(x)\");\n"
+      "// assert(x) in a comment\n"
+      "int f(int x) { assert(x > 0); return x; }\n";
+  const auto f = analyze_one("sparse/s.cpp", src);
+  std::vector<int> lines;
+  for (const sa::Finding& x : f) {
+    if (x.rule == "contract.raw-assert") lines.push_back(x.line);
+  }
+  EXPECT_EQ(lines, std::vector<int>{3});
+  // bench/ and tools/ trees (the tools profile) keep their asserts.
+  EXPECT_FALSE(has_rule(sa::analyze_files({sa::lex("b.cpp", src)}, sa::tools_config()),
+                        "contract.raw-assert"));
+}
+
 TEST(OmpRule, ParallelNeedsDefaultNone) {
   const auto bad = analyze_one("sparse/s.cpp",
                                "void f() {\n"

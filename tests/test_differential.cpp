@@ -1,10 +1,11 @@
 // Property-based differential harness: several hundred PRNG-seeded matrices
 // drawn from the generator families behind gen::suite, each pushed through
-// every format build + kernel the registry can select — plain/vectorized/
-// delta/decomposed CSR via PreparedSpmv, SELL-C-sigma, BCSR, and symmetric
-// storage — at operand widths 1/2/4/8, and compared against a naive COO
+// every plan the registry can prepare — plain/vectorized/delta/dynamic/
+// decomposed CSR and symmetric storage via PreparedSpmv — plus SELL-C-sigma
+// and BCSR, at operand widths 1/2/4/8, and compared against a naive COO
 // reference evaluated in triplet order (a computation path none of the
-// kernels share).
+// kernels share). A second sweep plants rows above the long-row floor so
+// the decomposed plan's long part runs.
 //
 // Tolerance note: the reference accumulates y[i] in coordinate order with a
 // plain double; the kernels reassociate (register-blocked lanes, chunked
@@ -26,11 +27,10 @@
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/spmv_sell.hpp"
-#include "kernels/spmv_sym.hpp"
 #include "sim/kernel_model.hpp"
 #include "sparse/bcsr.hpp"
+#include "sparse/decomposed_csr.hpp"
 #include "sparse/sell.hpp"
-#include "sparse/sym_csr.hpp"
 
 namespace sparta {
 namespace {
@@ -129,6 +129,10 @@ CsrMatrix symmetrized(const CsrMatrix& m, std::uint64_t seed) {
 void run_prepared_case(const CsrMatrix& m, const sim::KernelConfig& cfg, std::uint64_t seed,
                        const std::string& what) {
   const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = cfg, .threads = 4}};
+  // Symmetric cases run on exactly symmetric twins: the plan must apply.
+  if (cfg.symmetric) {
+    ASSERT_TRUE(prepared.symmetric_applied()) << what << " (seed " << seed << ")";
+  }
   const auto rows = static_cast<std::size_t>(m.nrows());
   const auto cols = static_cast<std::size_t>(m.ncols());
   for (const int k : kWidths) {
@@ -170,6 +174,9 @@ TEST_P(Differential, AllFormatsAllWidthsAgreeWithCooReference) {
     sim::KernelConfig delta;
     delta.delta = true;
     run_prepared_case(m, delta, seed, "delta");
+    sim::KernelConfig dyn;
+    dyn.schedule = sim::Schedule::kDynamicChunks;
+    run_prepared_case(m, dyn, seed, "dynamic");
     sim::KernelConfig dec;
     dec.decomposed = true;
     run_prepared_case(m, dec, seed, "decomposed");
@@ -207,21 +214,9 @@ TEST_P(Differential, AllFormatsAllWidthsAgreeWithCooReference) {
     }
 
     // Symmetric storage over the symmetrized twin, widths 1/2/4/8.
-    const CsrMatrix ms = symmetrized(m, seed ^ 0x517);
-    const SymCsrMatrix sym = SymCsrMatrix::build(ms, 4);
-    for (const int k : kWidths) {
-      const auto kk = static_cast<std::size_t>(k);
-      const auto xs = random_vector(rows * kk, seed ^ (0x5f3u + static_cast<std::uint64_t>(k)));
-      aligned_vector<value_t> ys(rows * kk, -7.0);
-      kernels::spmm_sym(sym, kernels::ConstDenseBlockView{xs.data(), ms.ncols(), k, k},
-                        kernels::DenseBlockView{ys.data(), ms.nrows(), k, k}, 1.0, 0.0, 4);
-      for (std::size_t c = 0; c < kk; ++c) {
-        aligned_vector<value_t> xc(rows), yc(rows);
-        for (std::size_t r = 0; r < rows; ++r) xc[r] = xs[r * kk + c];
-        for (std::size_t r = 0; r < rows; ++r) yc[r] = ys[r * kk + c];
-        expect_close(yc, coo_reference(ms, xc), seed, "sym k" + std::to_string(k));
-      }
-    }
+    sim::KernelConfig sym;
+    sym.symmetric = true;
+    run_prepared_case(symmetrized(m, seed ^ 0x517), sym, seed, "sym");
   }
 }
 
@@ -229,6 +224,33 @@ INSTANTIATE_TEST_SUITE_P(Shards, Differential, ::testing::Range(0, 8),
                          [](const auto& info) {
                            return "shard_" + std::to_string(info.param);
                          });
+
+// Circuit-class matrices with 1-4 planted rows above kMinLongRow: the
+// decomposed plan splits each into per-part slices and sums them, for plain
+// and fully-transformed row kernels, at widths 1/2/4/8.
+TEST(Differential, LongRowsAllWidthsAgreeWithCooReference) {
+  Xoshiro256 seeder{kBaseSeed ^ 0x10e6};
+  for (int case_i = 0; case_i < 6; ++case_i) {
+    const std::uint64_t seed = seeder.next();
+    Xoshiro256 rng{seed};
+    const auto n = static_cast<index_t>(1500 + rng.bounded(1500));
+    const CsrMatrix m = gen::circuit_like(
+        n, static_cast<index_t>(1 + rng.bounded(4)), static_cast<index_t>(1 + rng.bounded(4)),
+        static_cast<index_t>(DecomposedCsrMatrix::kMinLongRow + 100 +
+                             rng.bounded(static_cast<std::uint64_t>(
+                                 n - DecomposedCsrMatrix::kMinLongRow - 100))),
+        seed);
+    SCOPED_TRACE("long-row case " + std::to_string(case_i) + " seed " + std::to_string(seed));
+    ASSERT_FALSE(DecomposedCsrMatrix::decompose(m).long_rows().empty());
+    sim::KernelConfig dec;
+    dec.decomposed = true;
+    run_prepared_case(m, dec, seed, "decomposed");
+    dec.vectorized = true;
+    dec.unrolled = true;
+    dec.prefetch = true;
+    run_prepared_case(m, dec, seed, "decomposed+vec+unroll+pref");
+  }
+}
 
 }  // namespace
 }  // namespace sparta

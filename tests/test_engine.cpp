@@ -1,20 +1,27 @@
 // Tests for the persistent-parallel solver execution engine (src/engine/)
-// and the region-reentrant PreparedSpmv API it drives: run_local /
-// run_local_dot correctness against the serial reference, NUMA first-touch
-// equivalence, partition edge cases, and fused-vs-legacy solver agreement
-// on the generator suite.
+// and the region-reentrant PreparedSpmv entry point it drives: run_team
+// correctness against the serial reference, NUMA first-touch equivalence,
+// partition edge cases, fused-vs-legacy solver agreement on the generator
+// suite and on every plan (the engine runs the plan it is given), the
+// per-product telemetry, NaN breakdown, and the determinism contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
+#include <string_view>
 
 #include "common/prng.hpp"
 #include "engine/solver_engine.hpp"
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "kernels/kernel_registry.hpp"
+#include "obs/telemetry.hpp"
 #include "solvers/bicgstab.hpp"
 #include "solvers/cg.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/decomposed_csr.hpp"
 #include "sparse/partition.hpp"
 
 namespace sparta {
@@ -55,27 +62,28 @@ double residual_rel_diff(double rf, double rl, std::span<const value_t> b) {
   return std::abs(rf - rl) / std::max(norm2(b), 1e-300);
 }
 
-/// Drive the region API serially: every part, one after the other.
-void run_all_parts(const kernels::PreparedSpmv& prepared, std::span<const value_t> x,
-                   std::span<value_t> y) {
-  for (int p = 0; p < static_cast<int>(prepared.region_parts().size()); ++p) {
-    prepared.run_local(p, x, y);
-  }
+/// One thread, outside any parallel region, runs every part of the plan.
+double run_serial(const kernels::PreparedSpmv& prepared, std::span<const value_t> x,
+                  std::span<value_t> y, std::span<const value_t> w = {}) {
+  return prepared.run_team(kernels::ConstDenseBlockView::from_vector(x),
+                           kernels::DenseBlockView::from_vector(y), 1.0, 0.0, w);
 }
 
-TEST(RegionApi, RunLocalMatchesReferenceAcrossConfigs) {
+TEST(RegionApi, RunTeamOutsideRegionMatchesReferenceAcrossConfigs) {
   const CsrMatrix a = gen::banded(500, 24, 7, 601);
   const auto x = random_vector(static_cast<std::size_t>(a.ncols()), 602);
   aligned_vector<value_t> expect(static_cast<std::size_t>(a.nrows()));
   spmv_reference(a, x, expect);
 
-  std::vector<sim::KernelConfig> configs(6);
+  std::vector<sim::KernelConfig> configs(8);
   configs[1].vectorized = true;
   configs[2].unrolled = true;
   configs[3].prefetch = true;
   configs[4].delta = true;
   configs[5].vectorized = true;
   configs[5].delta = true;
+  configs[6].schedule = sim::Schedule::kDynamicChunks;
+  configs[7].schedule = sim::Schedule::kStaticRows;
 
   for (const auto& cfg : configs) {
     for (const bool first_touch : {false, true}) {
@@ -83,7 +91,7 @@ TEST(RegionApi, RunLocalMatchesReferenceAcrossConfigs) {
           a, kernels::SpmvOptions{.config = cfg, .threads = 4, .first_touch = first_touch}};
       ASSERT_EQ(prepared.region_parts().size(), 4u);
       aligned_vector<value_t> y(expect.size(), -1.0);
-      run_all_parts(prepared, x, y);
+      EXPECT_EQ(run_serial(prepared, x, y), 0.0);
       for (std::size_t i = 0; i < expect.size(); ++i) {
         ASSERT_NEAR(y[i], expect[i], 1e-12 * (1.0 + std::abs(expect[i])));
       }
@@ -91,7 +99,7 @@ TEST(RegionApi, RunLocalMatchesReferenceAcrossConfigs) {
   }
 }
 
-TEST(RegionApi, RunLocalDotFusesReduction) {
+TEST(RegionApi, RunTeamFusesDot) {
   const CsrMatrix a = gen::random_uniform(300, 9, 603);
   const auto x = random_vector(static_cast<std::size_t>(a.ncols()), 604);
   const auto w = random_vector(static_cast<std::size_t>(a.nrows()), 605);
@@ -103,10 +111,7 @@ TEST(RegionApi, RunLocalDotFusesReduction) {
   const kernels::PreparedSpmv prepared{
       a, kernels::SpmvOptions{.threads = 3, .first_touch = true}};
   aligned_vector<value_t> y(expect.size(), 0.0);
-  double dot = 0.0;
-  for (int p = 0; p < static_cast<int>(prepared.region_parts().size()); ++p) {
-    dot += prepared.run_local_dot(p, x, y, w);
-  }
+  const double dot = run_serial(prepared, x, y, w);
   EXPECT_NEAR(dot, expect_dot, 1e-9 * (1.0 + std::abs(expect_dot)));
   for (std::size_t i = 0; i < expect.size(); ++i) {
     ASSERT_NEAR(y[i], expect[i], 1e-12 * (1.0 + std::abs(expect[i])));
@@ -130,7 +135,7 @@ TEST(RegionApi, SingleRowMatrixWithAllNnz) {
   validate_partition(
       {prepared.region_parts().begin(), prepared.region_parts().end()}, a.nrows());
   aligned_vector<value_t> y(1, 0.0);
-  run_all_parts(prepared, x, y);
+  (void)run_serial(prepared, x, y);
   EXPECT_NEAR(y[0], expect[0], 1e-12 * (1.0 + std::abs(expect[0])));
 }
 
@@ -330,6 +335,214 @@ TEST(EngineAgreement, FusedBicgstabMatchesLegacyOnSuite) {
     EXPECT_EQ(rf.iterations, rl.iterations) << spec.name;
     EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10) << spec.name;
   }
+}
+
+// --- The engine runs the plan it is given ---------------------------------
+
+/// Circuit-class matrix whose 4 dense rows of 1500 nonzeros exceed
+/// DecomposedCsrMatrix::kMinLongRow, so a decomposed plan has a long part.
+CsrMatrix long_row_matrix() { return gen::circuit_like(1800, 3, 4, 1500, 305); }
+
+/// The plans of the determinism contract (DESIGN.md §9), by name.
+sim::KernelConfig plan_config(std::string_view name) {
+  sim::KernelConfig cfg;
+  cfg.vectorized = cfg.unrolled = cfg.prefetch = name == "csr+vec+unroll+pf";
+  cfg.delta = name == "delta";
+  cfg.decomposed = name == "decomposed";
+  cfg.symmetric = name == "symmetric";
+  if (name == "static-rows") cfg.schedule = sim::Schedule::kStaticRows;
+  if (name == "dynamic") cfg.schedule = sim::Schedule::kDynamicChunks;
+  return cfg;
+}
+
+constexpr const char* kPlans[] = {"baseline", "csr+vec+unroll+pf", "delta",    "static-rows",
+                                  "dynamic",  "decomposed",        "symmetric"};
+
+TEST(EnginePlans, SpmmMatchesRunBitwise) {
+  const CsrMatrix general = long_row_matrix();
+  const CsrMatrix stencil = gen::stencil5(40, 40);
+  ASSERT_FALSE(DecomposedCsrMatrix::decompose(general).long_rows().empty());
+  for (const char* name : {"baseline", "delta", "static-rows", "dynamic", "decomposed",
+                           "symmetric"}) {
+    const bool sym = plan_config(name).symmetric;
+    const CsrMatrix& a = sym ? stencil : general;
+    const engine::SolverEngine eng{a, plan_config(name), engine::EngineOptions{.threads = 4}};
+    EXPECT_EQ(eng.prepared().symmetric_applied(), sym) << name;
+    const auto rows = static_cast<std::size_t>(a.nrows());
+    const auto cols = static_cast<std::size_t>(a.ncols());
+    for (const index_t k : {1, 4}) {
+      SCOPED_TRACE(std::string{name} + " k=" + std::to_string(k));
+      const auto kk = static_cast<std::size_t>(k);
+      const auto xs = random_vector(cols * kk, 640 + kk);
+      const kernels::ConstDenseBlockView xb{xs.data(), a.ncols(), k, k};
+      aligned_vector<value_t> want(rows * kk), got(rows * kk);
+      eng.prepared().run(xb, kernels::DenseBlockView{want.data(), a.nrows(), k, k});
+      eng.spmm(xb, kernels::DenseBlockView{got.data(), a.nrows(), k, k});
+      for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "at " << i;
+      for (std::size_t c = 0; c < kk; ++c) {
+        aligned_vector<value_t> xc(cols), ref(rows);
+        for (std::size_t r = 0; r < cols; ++r) xc[r] = xs[r * kk + c];
+        spmv_reference(a, xc, ref);
+        for (std::size_t r = 0; r < rows; ++r) {
+          ASSERT_NEAR(got[r * kk + c], ref[r], 1e-10 * (1.0 + std::abs(ref[r])));
+        }
+      }
+    }
+  }
+}
+
+/// Engine CG (or BiCGSTAB) on `cfg` against its legacy twin. After 4 (3)
+/// steps with no stopping test the two agree in the suite agreement bar
+/// above (same steps, residuals within 1e-10 of ||b||): a plan that
+/// computed a wrong product would miss it by O(1). Solved to the default
+/// tolerance, both converge to solutions within 1e-6 (the
+/// symmetric-storage bar of test_sym): the plans' reassociated sums may
+/// shift the stopping step.
+void expect_matches_legacy(const CsrMatrix& a, const sim::KernelConfig& cfg, std::uint64_t seed,
+                           bool cg) {
+  const auto b = random_vector(static_cast<std::size_t>(a.nrows()), seed);
+  for (const bool converge : {false, true}) {
+    SCOPED_TRACE(converge ? "to convergence" : "fixed steps");
+    const int max_it = converge ? 1000 : (cg ? 4 : 3);
+    const double tol = converge ? 1e-8 : 0.0;
+    aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+    const engine::SolverEngine eng{
+        a, cfg, engine::EngineOptions{.threads = 4, .max_iterations = max_it, .tolerance = tol}};
+    const auto rf = cg ? eng.cg(b, x_fused) : eng.bicgstab(b, x_fused);
+    const auto rl =
+        cg ? solvers::cg(a, b, x_legacy, {.max_iterations = max_it, .tolerance = tol})
+           : solvers::bicgstab(a, b, x_legacy, {.max_iterations = max_it, .tolerance = tol});
+    if (converge) {
+      EXPECT_TRUE(rf.converged);
+      EXPECT_TRUE(rl.converged);
+      for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_legacy[i], 1e-6);
+    } else {
+      EXPECT_EQ(rf.iterations, rl.iterations);
+      EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10);
+    }
+  }
+}
+
+TEST(EnginePlans, CgMatchesLegacyOnSymmetricAndDecomposedPlans) {
+  const CsrMatrix spd = spd_like(long_row_matrix(), 650);
+  ASSERT_FALSE(DecomposedCsrMatrix::decompose(spd).long_rows().empty());
+  ASSERT_TRUE(kernels::PreparedSpmv(spd, kernels::SpmvOptions{.config = plan_config("symmetric")})
+                  .symmetric_applied());
+  for (const char* name : {"symmetric", "decomposed"}) {
+    SCOPED_TRACE(name);
+    expect_matches_legacy(spd, plan_config(name), 651, true);
+  }
+}
+
+TEST(EnginePlans, BicgstabMatchesLegacyOnDecomposedDynamicAndSymmetricPlans) {
+  const CsrMatrix general = gen::make_diagonally_dominant(long_row_matrix(), 653);
+  ASSERT_FALSE(DecomposedCsrMatrix::decompose(general).long_rows().empty());
+  for (const char* name : {"decomposed", "dynamic"}) {
+    SCOPED_TRACE(name);
+    expect_matches_legacy(general, plan_config(name), 654, false);
+  }
+  SCOPED_TRACE("symmetric");
+  expect_matches_legacy(spd_like(long_row_matrix(), 655), plan_config("symmetric"), 656, false);
+}
+
+// --- Telemetry: every product is counted once ------------------------------
+
+TEST(EngineTelemetry, CgCountsEveryProduct) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  struct EnabledGuard {
+    bool saved = obs::enabled();
+    EnabledGuard() { obs::set_enabled(true); }
+    ~EnabledGuard() { obs::set_enabled(saved); }
+  } const guard;
+  const auto total = [](std::string_view name) {
+    for (const auto& s : obs::Registry::global().snapshot()) {
+      if (s.name == name) return s.value;
+    }
+    return 0.0;
+  };
+  const CsrMatrix a = gen::stencil5(20, 20);
+  const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 660);
+  aligned_vector<value_t> x(b.size(), 0.0);
+  // Handles bind at preparation, so the engine is built with telemetry on.
+  const engine::SolverEngine eng{a, sim::KernelConfig{}, engine::EngineOptions{.threads = 4}};
+  const double calls = total("kernels.run.calls");
+  const double bytes = total("kernels.run.bytes");
+  const auto r = eng.cg(b, x);
+  ASSERT_TRUE(r.converged);
+  const double products = r.iterations + 1.0;  // one per iteration + the initial residual
+  EXPECT_EQ(total("kernels.run.calls") - calls, products);
+  EXPECT_DOUBLE_EQ(total("kernels.run.bytes") - bytes, products * eng.prepared().bytes_per_run(1));
+}
+
+// --- Breakdown: a NaN never iterates ----------------------------------------
+
+TEST(SolverBreakdown, NanRhsStopsEverySolver) {
+  const CsrMatrix a = gen::stencil5(10, 10);
+  auto b = random_vector(static_cast<std::size_t>(a.nrows()), 661);
+  b[17] = std::numeric_limits<value_t>::quiet_NaN();
+  const engine::SolverEngine eng{a, sim::KernelConfig{},
+                                 engine::EngineOptions{.threads = 4, .max_iterations = 500}};
+  const auto check = [&](const char* name, const solvers::SolveResult& r) {
+    EXPECT_FALSE(r.converged) << name;
+    EXPECT_EQ(r.iterations, 0) << name;
+  };
+  aligned_vector<value_t> x(b.size(), 0.0);
+  check("engine cg", eng.cg(b, x));
+  std::fill(x.begin(), x.end(), 0.0);
+  check("engine bicgstab", eng.bicgstab(b, x));
+  std::fill(x.begin(), x.end(), 0.0);
+  check("legacy cg", solvers::cg(a, b, x, {.max_iterations = 500}));
+  std::fill(x.begin(), x.end(), 0.0);
+  check("legacy bicgstab", solvers::bicgstab(a, b, x, {.max_iterations = 500}));
+}
+
+// --- Determinism contract (DESIGN.md §9) -----------------------------------
+
+/// At a fixed thread count every plan is bit-identical from run to run —
+/// run() and two engine CG and BiCGSTAB solves each — and across thread
+/// counts run() agrees with the reference to the kernel tolerance.
+void expect_deterministic(const CsrMatrix& a, const char* name, int threads) {
+  SCOPED_TRACE(std::string{name} + " at " + std::to_string(threads) + " threads");
+  const auto prepared = std::make_shared<const kernels::PreparedSpmv>(
+      a, kernels::SpmvOptions{.config = plan_config(name), .threads = threads});
+  const auto n = static_cast<std::size_t>(a.nrows());
+  const auto x = random_vector(n, 670);
+  aligned_vector<value_t> y1(n), y2(n), want(n);
+  prepared->run(std::span<const value_t>{x}, std::span<value_t>{y1});
+  prepared->run(std::span<const value_t>{x}, std::span<value_t>{y2});
+  spmv_reference(a, x, want);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(y1[i], y2[i]) << "run() differs at row " << i;
+    ASSERT_NEAR(y1[i], want[i], 1e-10 * (1.0 + std::abs(want[i])));
+  }
+
+  const engine::SolverEngine eng{a, prepared, engine::EngineOptions{.tolerance = 1e-10}};
+  const auto b = random_vector(n, 671);
+  for (const bool cg : {true, false}) {
+    aligned_vector<value_t> x1(n, 0.0), x2(n, 0.0);
+    const auto r1 = cg ? eng.cg(b, x1) : eng.bicgstab(b, x1);
+    const auto r2 = cg ? eng.cg(b, x2) : eng.bicgstab(b, x2);
+    EXPECT_TRUE(r1.converged) << (cg ? "cg" : "bicgstab");
+    ASSERT_EQ(r1.iterations, r2.iterations) << (cg ? "cg" : "bicgstab");
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(x1[i], x2[i]) << (cg ? "cg" : "bicgstab") << " differs at row " << i;
+    }
+  }
+}
+
+TEST(Determinism, EveryPlanIsBitIdenticalAtAFixedThreadCount) {
+  const CsrMatrix a = spd_like(long_row_matrix(), 672);
+  ASSERT_FALSE(DecomposedCsrMatrix::decompose(a).long_rows().empty());
+  ASSERT_TRUE(kernels::PreparedSpmv(a, kernels::SpmvOptions{.config = plan_config("symmetric")})
+                  .symmetric_applied());
+  for (const int threads : {1, 2, 3, 4, 7}) {
+    for (const char* name : kPlans) expect_deterministic(a, name, threads);
+  }
+}
+
+TEST(Determinism, MoreThreadsThanRows) {
+  const CsrMatrix a = gen::stencil5(2, 2);  // 4 rows, SPD
+  for (const char* name : kPlans) expect_deterministic(a, name, 7);
 }
 
 }  // namespace

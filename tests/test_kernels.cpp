@@ -1,20 +1,18 @@
-// Correctness tests for every real host kernel: each optimized variant must
-// reproduce the reference SpMV bit-for-bit-close on a battery of matrix
-// families, and the registry must dispatch every KernelConfig the tuner can
-// emit (all 15 sweep sets x schedules).
+// Correctness tests for every real host kernel: each optimized variant,
+// prepared as a kernels::PreparedSpmv plan, must reproduce the reference
+// SpMV on a battery of matrix families at 1, 4 and 37 threads, and the
+// registry must dispatch every KernelConfig the tuner can emit (all 15
+// sweep sets x schedules).
 #include <gtest/gtest.h>
 
-#include <omp.h>
+#include <string>
 
 #include "common/prng.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_csr.hpp"
-#include "kernels/spmv_decomposed.hpp"
-#include "kernels/spmv_delta.hpp"
-#include "kernels/spmv_prefetch.hpp"
-#include "kernels/spmv_unrolled.hpp"
+#include "sparse/coo.hpp"
+#include "sparse/delta_csr.hpp"
 #include "tuner/optimizations.hpp"
 
 namespace sparta {
@@ -46,87 +44,86 @@ class KernelCorrectness : public ::testing::TestWithParam<KernelMatrixCase> {
     x_ = random_vector(static_cast<std::size_t>(matrix_.ncols()), 1234);
     expected_.resize(static_cast<std::size_t>(matrix_.nrows()));
     spmv_reference(matrix_, x_, expected_);
-    parts_ = partition_balanced_nnz(matrix_, 4);
+  }
+
+  /// The plan for `cfg` reproduces the reference at 1, 4 and 37 threads
+  /// (37 partitions exceed the rows of the small families).
+  void expect_config(const sim::KernelConfig& cfg, double tol) const {
+    for (const int threads : {1, 4, 37}) {
+      SCOPED_TRACE(cfg.describe() + " at " + std::to_string(threads) + " threads");
+      const kernels::PreparedSpmv prepared{
+          matrix_, kernels::SpmvOptions{.config = cfg, .threads = threads}};
+      aligned_vector<value_t> y(expected_.size(), -7.0);
+      prepared.run(x_, y);
+      expect_near(y, expected_, tol);
+    }
   }
 
   CsrMatrix matrix_;
   aligned_vector<value_t> x_;
   aligned_vector<value_t> expected_;
-  std::vector<RowRange> parts_;
 };
 
-TEST_P(KernelCorrectness, BaselineCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-12);
-}
+TEST_P(KernelCorrectness, BaselineCsr) { expect_config(sim::KernelConfig{}, 1e-12); }
 
 TEST_P(KernelCorrectness, VectorizedCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_vectorized(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-10);
+  sim::KernelConfig cfg;
+  cfg.vectorized = true;
+  expect_config(cfg, 1e-10);
 }
 
 TEST_P(KernelCorrectness, PrefetchCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_prefetch(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-12);
+  sim::KernelConfig cfg;
+  cfg.prefetch = true;
+  expect_config(cfg, 1e-12);
 }
 
 TEST_P(KernelCorrectness, UnrolledCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_unrolled(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-10);
+  sim::KernelConfig cfg;
+  cfg.vectorized = true;
+  cfg.unrolled = true;
+  expect_config(cfg, 1e-10);
 }
 
 TEST_P(KernelCorrectness, UnrolledPrefetchCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_unrolled_prefetch(matrix_, x_, y, parts_);
-  expect_near(y, expected_, 1e-10);
+  sim::KernelConfig cfg;
+  cfg.vectorized = true;
+  cfg.unrolled = true;
+  cfg.prefetch = true;
+  expect_config(cfg, 1e-10);
 }
 
 TEST_P(KernelCorrectness, AutoScheduledCsr) {
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr_auto(matrix_, x_, y);
-  expect_near(y, expected_, 1e-12);
+  sim::KernelConfig cfg;
+  cfg.schedule = sim::Schedule::kDynamicChunks;
+  expect_config(cfg, 1e-12);
+}
+
+TEST_P(KernelCorrectness, StaticRowsCsr) {
+  sim::KernelConfig cfg;
+  cfg.schedule = sim::Schedule::kStaticRows;
+  expect_config(cfg, 1e-12);
 }
 
 TEST_P(KernelCorrectness, DeltaCsrWhenCompressible) {
-  const auto d = DeltaCsrMatrix::compress(matrix_);
-  if (!d.has_value()) GTEST_SKIP() << "matrix not delta-compressible";
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_delta(*d, x_, y, parts_);
-  expect_near(y, expected_, 1e-12);
+  sim::KernelConfig cfg;
+  cfg.delta = true;
+  const kernels::PreparedSpmv prepared{matrix_, kernels::SpmvOptions{.config = cfg}};
+  EXPECT_EQ(prepared.delta_applied(), DeltaCsrMatrix::compress(matrix_).has_value());
+  expect_config(cfg, 1e-12);
 }
 
 TEST_P(KernelCorrectness, DecomposedCsr) {
-  const auto d = DecomposedCsrMatrix::decompose(matrix_, 64);
-  const auto short_parts = partition_balanced_nnz(d.short_part(), 4);
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_decomposed(d, x_, y, short_parts);
-  expect_near(y, expected_, 1e-10);
+  sim::KernelConfig cfg;
+  cfg.decomposed = true;
+  expect_config(cfg, 1e-10);
 }
 
 TEST_P(KernelCorrectness, DecomposedVectorizedCsr) {
-  const auto d = DecomposedCsrMatrix::decompose(matrix_, 64);
-  const auto short_parts = partition_balanced_nnz(d.short_part(), 4);
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_decomposed_vectorized(d, x_, y, short_parts);
-  expect_near(y, expected_, 1e-10);
-}
-
-TEST_P(KernelCorrectness, SingleThreadPartitionAlsoWorks) {
-  const auto one = partition_balanced_nnz(matrix_, 1);
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr(matrix_, x_, y, one);
-  expect_near(y, expected_, 1e-12);
-}
-
-TEST_P(KernelCorrectness, ManyThreadPartitionAlsoWorks) {
-  const auto many = partition_balanced_nnz(matrix_, 37);
-  aligned_vector<value_t> y(expected_.size(), -7.0);
-  kernels::spmv_csr(matrix_, x_, y, many);
-  expect_near(y, expected_, 1e-12);
+  sim::KernelConfig cfg;
+  cfg.decomposed = true;
+  cfg.vectorized = true;
+  expect_config(cfg, 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,12 +1,11 @@
 // Multi-vector SpMM correctness: the width-1 block path must be bit-identical
-// to the historical vector path for every kernel config the tuner can emit,
+// to the span path for every kernel config the tuner can emit, and the row
+// plans to a per-row loop over the scalar row body,
 // wider operands must agree with k independent SpMVs to reduction rounding,
 // and the alpha/beta generalization must honor its identities. Also covers
-// the block_width preparation hint, the PlanCache keying on it, the engine's
-// persistent-region spmm, and the SELL block kernel.
+// the block_width preparation hint, the PlanCache keying on it, run_team
+// inside a caller's region, the engine's spmm, and the SELL block kernel.
 #include <gtest/gtest.h>
-
-#include <omp.h>
 
 #include <stdexcept>
 
@@ -14,12 +13,8 @@
 #include "engine/solver_engine.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "kernels/spmv_csr.hpp"
-#include "kernels/spmv_decomposed.hpp"
-#include "kernels/spmv_delta.hpp"
-#include "kernels/spmv_prefetch.hpp"
+#include "kernels/spmv_kernels.hpp"
 #include "kernels/spmv_sell.hpp"
-#include "kernels/spmv_unrolled.hpp"
 #include "sparse/sell.hpp"
 #include "tuner/optimizations.hpp"
 #include "tuner/plan_cache.hpp"
@@ -87,20 +82,31 @@ INSTANTIATE_TEST_SUITE_P(AllSweepConfigs, SpmmWidth1BitIdentity,
                            return "combo_" + std::to_string(info.param);
                          });
 
-// The free-function vector kernels are the pre-block execution surface; the
-// prepared width-1 path must reproduce them bit-for-bit (same partition,
-// same per-row kernels, same store).
-TEST(SpmmWidth1BitIdentity, MatchesFreeFunctionKernelsBitwise) {
+/// y = A x by a serial loop over the scalar row body a contiguous width-1
+/// product runs per row.
+template <bool V, bool U, bool P>
+aligned_vector<value_t> per_row_product(const CsrMatrix& m, std::span<const value_t> x) {
+  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
+  const auto rp = m.rowptr();
+  for (index_t i = 0; i < m.nrows(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    y[k] = kernels::detail::csr_row<V, U, P>(m.colind().data(), m.values().data(), x.data(),
+                                             rp[k], rp[k + 1]);
+  }
+  return y;
+}
+
+// Every row plan — any partition, any schedule — computes each row with the
+// scalar row body of its transformations, so it reproduces the per-row loop
+// bit-for-bit.
+TEST(SpmmWidth1BitIdentity, MatchesPerRowKernelBitwise) {
   const CsrMatrix m = test_matrix();
-  const int threads = 4;
-  const auto parts = partition_balanced_nnz(m, threads);
   const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 422);
   const auto n = static_cast<std::size_t>(m.nrows());
 
   struct Case {
     sim::KernelConfig cfg;
-    void (*legacy)(const CsrMatrix&, std::span<const value_t>, std::span<value_t>,
-                   std::span<const RowRange>);
+    aligned_vector<value_t> want;
   };
   sim::KernelConfig base;
   sim::KernelConfig vec = base;
@@ -112,19 +118,23 @@ TEST(SpmmWidth1BitIdentity, MatchesFreeFunctionKernelsBitwise) {
   unroll.unrolled = true;
   sim::KernelConfig unroll_pref = unroll;
   unroll_pref.prefetch = true;
-  const Case cases[] = {{base, &kernels::spmv_csr},
-                        {vec, &kernels::spmv_csr_vectorized},
-                        {pref, &kernels::spmv_csr_prefetch},
-                        {unroll, &kernels::spmv_csr_unrolled},
-                        {unroll_pref, &kernels::spmv_csr_unrolled_prefetch}};
+  sim::KernelConfig rows = base;
+  rows.schedule = sim::Schedule::kStaticRows;
+  sim::KernelConfig dynamic = base;
+  dynamic.schedule = sim::Schedule::kDynamicChunks;
+  const Case cases[] = {{base, per_row_product<false, false, false>(m, x)},
+                        {vec, per_row_product<true, false, false>(m, x)},
+                        {pref, per_row_product<false, false, true>(m, x)},
+                        {unroll, per_row_product<true, true, false>(m, x)},
+                        {unroll_pref, per_row_product<true, true, true>(m, x)},
+                        {rows, per_row_product<false, false, false>(m, x)},
+                        {dynamic, per_row_product<false, false, false>(m, x)}};
   for (const Case& c : cases) {
-    const kernels::PreparedSpmv prepared{
-        m, kernels::SpmvOptions{.config = c.cfg, .threads = threads}};
-    aligned_vector<value_t> y_prepared(n, -3.0);
-    aligned_vector<value_t> y_legacy(n, -3.0);
-    prepared.run(std::span<const value_t>{x}, std::span<value_t>{y_prepared});
-    c.legacy(m, x, y_legacy, parts);
-    expect_bitwise(y_prepared, y_legacy);
+    SCOPED_TRACE(c.cfg.describe());
+    const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = c.cfg, .threads = 4}};
+    aligned_vector<value_t> y(n, -3.0);
+    prepared.run(std::span<const value_t>{x}, std::span<value_t>{y});
+    expect_bitwise(y, c.want);
   }
 }
 
@@ -298,28 +308,33 @@ TEST(Spmm, PlanCacheKeysOnBlockWidth) {
 
 // --- Region-reentrant block path and the engine ----------------------------
 
-TEST(Spmm, RunLocalBlockCoversAllRowsInsideRegion) {
-  const CsrMatrix m = test_matrix();
+// run_team from a caller's region — here 3 threads over a 4-part plan, so
+// one thread owns two parts — is the one-shot run() bit-for-bit: the
+// results depend on the prepared partition, never on the team.
+TEST(Spmm, RunTeamInsideRegionMatchesRun) {
+  const CsrMatrix m = gen::circuit_like(1800, 3, 4, 1500, 305);
   const int k = 4;
   const auto rows = static_cast<std::size_t>(m.nrows());
   const auto cols = static_cast<std::size_t>(m.ncols());
-  const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.threads = 4, .block_width = k}};
   const auto xs = random_vector(cols * k, 452);
-  aligned_vector<value_t> ys(rows * k, -5.0);
-  aligned_vector<value_t> want(rows * k, -5.0);
   const kernels::ConstDenseBlockView xb{xs.data(), m.ncols(), k, k};
-  prepared.run(xb, kernels::DenseBlockView{want.data(), m.nrows(), k, k});
+  sim::KernelConfig dynamic;
+  dynamic.schedule = sim::Schedule::kDynamicChunks;
+  sim::KernelConfig decomposed;
+  decomposed.decomposed = true;
+  for (const sim::KernelConfig& cfg : {sim::KernelConfig{}, dynamic, decomposed}) {
+    SCOPED_TRACE(cfg.describe());
+    const kernels::PreparedSpmv prepared{
+        m, kernels::SpmvOptions{.config = cfg, .threads = 4, .block_width = k}};
+    aligned_vector<value_t> want(rows * k, -5.0);
+    prepared.run(xb, kernels::DenseBlockView{want.data(), m.nrows(), k, k}, 1.5, 0.25);
 
-  const kernels::DenseBlockView yb{ys.data(), m.nrows(), k, k};
-  const auto nparts = static_cast<int>(prepared.region_parts().size());
-#pragma omp parallel default(none) num_threads(4) shared(prepared, xb, yb, nparts)
-  {
-    const int nt = omp_get_num_threads();
-    for (int pi = omp_get_thread_num(); pi < nparts; pi += nt) {
-      prepared.run_local(pi, xb, yb);
-    }
+    aligned_vector<value_t> ys(rows * k, -5.0);
+    const kernels::DenseBlockView yb{ys.data(), m.nrows(), k, k};
+#pragma omp parallel default(none) num_threads(3) shared(prepared, xb, yb)
+    { (void)prepared.run_team(xb, yb, 1.5, 0.25); }
+    expect_bitwise(ys, want);
   }
-  expect_bitwise(ys, want);
 }
 
 TEST(Spmm, EngineSpmmMatchesPreparedRun) {

@@ -1,10 +1,10 @@
 // Symmetric storage (SymCsr) end to end: the two-pass parallel builder is
 // bit-identical to its serial twin for every thread count and round-trips
-// through expand(); the scatter/reduce kernels agree with the general
-// reference within the documented reassociation tolerance at every operand
-// width; the validator names each corruption; the registry applies (and
-// falls back from) symmetric storage; and the solver engine's CG runs on it
-// inside the persistent region.
+// through expand(); the symmetric plan (scatter/reduce through
+// PreparedSpmv) agrees with the general reference within the documented
+// reassociation tolerance at every operand width; the validator names each
+// corruption; the registry applies (and falls back from) symmetric storage;
+// and the solver engine's CG runs on it inside the persistent region.
 //
 // Tolerance note: the symmetric kernel accumulates each y[i] from the
 // diagonal product, the direct lower products, and the mirrored upper
@@ -15,8 +15,6 @@
 // three orders of magnitude of headroom and matches the repo-wide kernel
 // tolerance.
 #include <gtest/gtest.h>
-
-#include <omp.h>
 
 #include <stdexcept>
 #include <vector>
@@ -203,25 +201,39 @@ TEST(SymCsr, ValidatorNamesEachCorruption) {
 
 // --- Kernels ---------------------------------------------------------------
 
+/// The symmetric plan of `m` (which must be exactly symmetric).
+kernels::PreparedSpmv symmetric_plan(const CsrMatrix& m, int threads, int block_width = 1) {
+  sim::KernelConfig cfg;
+  cfg.symmetric = true;
+  kernels::PreparedSpmv prepared{
+      m, kernels::SpmvOptions{.config = cfg, .threads = threads, .block_width = block_width}};
+  EXPECT_TRUE(prepared.symmetric_applied());
+  return prepared;
+}
+
 class SymKernelWidths : public ::testing::TestWithParam<int> {};
 
 TEST_P(SymKernelWidths, MatchesGeneralReferencePerColumn) {
   const int k = GetParam();
   const CsrMatrix m = random_symmetric(900, 5, 95);
-  const SymCsrMatrix sym = SymCsrMatrix::build(m, 4);
   const auto rows = static_cast<std::size_t>(m.nrows());
   const auto kk = static_cast<std::size_t>(k);
-
   const auto xs = random_vector(rows * kk, 96 + static_cast<std::uint64_t>(k));
-  aligned_vector<value_t> ys(rows * kk, -5.0);
-  kernels::spmm_sym(sym, kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
-                    kernels::DenseBlockView{ys.data(), m.nrows(), k, k}, 1.0, 0.0, 4);
-  for (std::size_t c = 0; c < kk; ++c) {
-    aligned_vector<value_t> xc(rows), want(rows);
-    for (std::size_t r = 0; r < rows; ++r) xc[r] = xs[r * kk + c];
-    spmv_reference(m, xc, want);
-    for (std::size_t r = 0; r < rows; ++r) {
-      ASSERT_NEAR(ys[r * kk + c], want[r], 1e-10) << "row " << r << " column " << c;
+  // Scratch sized for the width (one column group) and for width 1 (k
+  // groups of one column each).
+  for (const int hint : {k, 1}) {
+    const kernels::PreparedSpmv prepared = symmetric_plan(m, 4, hint);
+    aligned_vector<value_t> ys(rows * kk, -5.0);
+    prepared.run(kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
+                 kernels::DenseBlockView{ys.data(), m.nrows(), k, k});
+    for (std::size_t c = 0; c < kk; ++c) {
+      aligned_vector<value_t> xc(rows), want(rows);
+      for (std::size_t r = 0; r < rows; ++r) xc[r] = xs[r * kk + c];
+      spmv_reference(m, xc, want);
+      for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_NEAR(ys[r * kk + c], want[r], 1e-10)
+            << "row " << r << " column " << c << " hint " << hint;
+      }
     }
   }
 }
@@ -231,13 +243,13 @@ INSTANTIATE_TEST_SUITE_P(Widths, SymKernelWidths, ::testing::Values(1, 2, 4, 8),
 
 TEST(SymKernels, DeterministicForAFixedThreadCount) {
   const CsrMatrix m = random_symmetric(1200, 6, 97);
-  const SymCsrMatrix sym = SymCsrMatrix::build(m);
   const auto n = static_cast<std::size_t>(m.nrows());
   const auto x = random_vector(n, 98);
   for (const int threads : {1, 3, 8}) {
+    const kernels::PreparedSpmv prepared = symmetric_plan(m, threads);
     aligned_vector<value_t> first(n), second(n);
-    kernels::spmv_sym(sym, x, first, threads);
-    kernels::spmv_sym(sym, x, second, threads);
+    prepared.run(std::span<const value_t>{x}, std::span<value_t>{first});
+    prepared.run(std::span<const value_t>{x}, std::span<value_t>{second});
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(first[i], second[i]) << "nondeterministic at row " << i;
     }
@@ -246,16 +258,15 @@ TEST(SymKernels, DeterministicForAFixedThreadCount) {
 
 TEST(SymKernels, AlphaBetaIdentities) {
   const CsrMatrix m = random_symmetric(400, 4, 99);
-  const SymCsrMatrix sym = SymCsrMatrix::build(m);
   const auto n = static_cast<std::size_t>(m.nrows());
   const auto x = random_vector(n, 100);
   const auto y0 = random_vector(n, 101);
+  const kernels::PreparedSpmv prepared = symmetric_plan(m, 4);
   aligned_vector<value_t> ax(n);
-  kernels::spmv_sym(sym, x, ax, 4);
+  prepared.run(std::span<const value_t>{x}, std::span<value_t>{ax});
 
   aligned_vector<value_t> y = y0;
-  kernels::spmm_sym(sym, kernels::ConstDenseBlockView::from_vector(x),
-                    kernels::DenseBlockView::from_vector(y), 2.5, -0.5, 4);
+  prepared.run(std::span<const value_t>{x}, std::span<value_t>{y}, 2.5, -0.5);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_NEAR(y[i], 2.5 * ax[i] - 0.5 * y0[i], 1e-10) << "at row " << i;
   }
@@ -308,40 +319,29 @@ TEST(SymPrepared, FallsBackOnAsymmetricMatrix) {
   prepared.run(std::span<const value_t>{x}, std::span<value_t>{y});
   spmv_reference(m, x, want);
   expect_near(y, want, 1e-10);
-
-  aligned_vector<value_t> w(n);
-  EXPECT_THROW(prepared.run_local_scatter(0, x), std::logic_error);
-  EXPECT_THROW(prepared.run_local_reduce(0, y), std::logic_error);
-  EXPECT_THROW((void)prepared.run_local_reduce_dot(0, y, w), std::logic_error);
 }
 
-TEST(SymPrepared, RegionScatterReduceMatchesOneShot) {
+TEST(SymPrepared, RegionRunTeamMatchesRun) {
   const CsrMatrix m = random_symmetric(900, 4, 106);
-  sim::KernelConfig cfg;
-  cfg.symmetric = true;
-  const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = cfg, .threads = 4}};
-  ASSERT_TRUE(prepared.symmetric_applied());
-
+  const kernels::PreparedSpmv prepared = symmetric_plan(m, 4);
   const auto n = static_cast<std::size_t>(m.nrows());
   const auto x = random_vector(n, 107);
   const auto y0 = random_vector(n, 108);
   aligned_vector<value_t> want = y0;
   prepared.run(std::span<const value_t>{x}, std::span<value_t>{want}, 1.5, 0.25);
 
+  // Two products in one region, separated by the barrier that orders the
+  // first product's scratch reads against the second's scatter.
   aligned_vector<value_t> y = y0;
-  const std::span<const value_t> xs{x};
-  const std::span<value_t> ys{y};
-  const auto nparts = static_cast<int>(prepared.region_parts().size());
-#pragma omp parallel default(none) num_threads(4) shared(prepared, xs, ys, nparts)
+  aligned_vector<value_t> scratch_y = y0;
+  const kernels::ConstDenseBlockView xs = kernels::ConstDenseBlockView::from_vector(x);
+  const kernels::DenseBlockView ys = kernels::DenseBlockView::from_vector(y);
+  const kernels::DenseBlockView tmp = kernels::DenseBlockView::from_vector(scratch_y);
+#pragma omp parallel default(none) num_threads(4) shared(prepared, xs, ys, tmp)
   {
-    const int nt = omp_get_num_threads();
-    for (int pi = omp_get_thread_num(); pi < nparts; pi += nt) {
-      prepared.run_local_scatter(pi, xs);
-    }
+    (void)prepared.run_team(xs, tmp, 2.0, 0.0);
 #pragma omp barrier
-    for (int pi = omp_get_thread_num(); pi < nparts; pi += nt) {
-      prepared.run_local_reduce(pi, ys, 1.5, 0.25);
-    }
+    (void)prepared.run_team(xs, ys, 1.5, 0.25);
   }
   // Same schedule, same traversal order: the region path is the one-shot
   // path bit-for-bit.
@@ -350,26 +350,17 @@ TEST(SymPrepared, RegionScatterReduceMatchesOneShot) {
   }
 }
 
-TEST(SymPrepared, ReduceDotMatchesSeparateReduceAndDot) {
+TEST(SymPrepared, FusedDotMatchesSeparateProductAndDot) {
   const CsrMatrix m = random_symmetric(600, 4, 109);
-  sim::KernelConfig cfg;
-  cfg.symmetric = true;
-  const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = cfg, .threads = 2}};
-  ASSERT_TRUE(prepared.symmetric_applied());
-
+  const kernels::PreparedSpmv prepared = symmetric_plan(m, 2);
   const auto n = static_cast<std::size_t>(m.nrows());
   const auto x = random_vector(n, 110);
   const auto w = random_vector(n, 111);
   aligned_vector<value_t> y_a(n), y_b(n);
-  const auto nparts = static_cast<int>(prepared.region_parts().size());
-
-  double dot_fused = 0.0;
-  for (int pi = 0; pi < nparts; ++pi) prepared.run_local_scatter(pi, x);
-  for (int pi = 0; pi < nparts; ++pi) {
-    dot_fused += prepared.run_local_reduce_dot(pi, y_a, w);
-  }
-  for (int pi = 0; pi < nparts; ++pi) prepared.run_local_scatter(pi, x);
-  for (int pi = 0; pi < nparts; ++pi) prepared.run_local_reduce(pi, y_b);
+  const double dot_fused =
+      prepared.run_team(kernels::ConstDenseBlockView::from_vector(x),
+                        kernels::DenseBlockView::from_vector(y_a), 1.0, 0.0, w);
+  prepared.run(std::span<const value_t>{x}, std::span<value_t>{y_b});
   double dot_separate = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(y_a[i], y_b[i]) << "fused reduce diverges at row " << i;

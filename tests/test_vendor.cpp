@@ -4,6 +4,7 @@
 
 #include "common/prng.hpp"
 #include "gen/generators.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "vendor/inspector_executor.hpp"
 #include "vendor/vendor_csr.hpp"
 
@@ -33,7 +34,9 @@ TEST(VendorCsr, HostKernelMatchesReference) {
   aligned_vector<value_t> want(static_cast<std::size_t>(m.nrows()));
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
   spmv_reference(m, x, want);
-  vendor::vendor_csr_host(m, x, y, 4);
+  const kernels::PreparedSpmv prepared{
+      m, kernels::SpmvOptions{.config = vendor::vendor_csr_config(), .threads = 4}};
+  prepared.run(x, y);
   for (std::size_t i = 0; i < want.size(); ++i) EXPECT_NEAR(y[i], want[i], 1e-12);
 }
 

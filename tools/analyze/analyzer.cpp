@@ -23,6 +23,7 @@ Config default_config() {
   cfg.hot = {"kernels", "engine", "solvers"};
   cfg.restrict_modules = {"kernels", "engine"};
   cfg.runtime_schedule_ok = {"tuner"};
+  cfg.raw_assert = true;
   return cfg;
 }
 
@@ -65,6 +66,7 @@ std::vector<Finding> analyze_files(const std::vector<LexedFile>& files, const Co
     if (cfg.hot.count(ctx.module) != 0) check_purity(ctx, out);
     check_scopes(ctx, cfg.restrict_modules.count(ctx.module) != 0, out);
     check_hygiene(ctx, rels, out);
+    if (cfg.raw_assert) check_raw_assert(ctx, out);
     check_dataflow(ctx, cfg, out);
   }
   if (cfg.layering) check_layering(ctxs, cfg, out);

@@ -38,6 +38,7 @@ struct Config {
   std::set<std::string> runtime_schedule_ok;  // schedule(runtime) legal here
 
   bool layering = true;  // run layering.* (off for trees with no module DAG)
+  bool raw_assert = false;  // run contract.raw-assert (library trees only)
 
   std::string tag = "sparta-analyze";  // suppression-comment tag
 };
@@ -85,6 +86,8 @@ void check_omp_sharing(FileCtx& ctx, const Config& cfg, std::vector<Finding>& ou
 void check_scopes(FileCtx& ctx, bool restrict_enabled, std::vector<Finding>& out);
 void check_hygiene(FileCtx& ctx, const std::set<std::string>& all_rels,
                    std::vector<Finding>& out);
+/// contract.raw-assert: `assert(` tokens (static_assert is its own token).
+void check_raw_assert(FileCtx& ctx, std::vector<Finding>& out);
 void check_layering(std::vector<FileCtx>& ctxs, const Config& cfg, std::vector<Finding>& out);
 /// CFG + dataflow stage (flow_rules.cpp): builds per-function CFGs, solves
 /// reaching definitions and liveness, and runs flow.{uninit-read,dead-store,

@@ -30,9 +30,9 @@
 //                          `if` over thread-private state (deadlock shape).
 //   omp.hot-critical       critical/atomic construct in a hot module — the
 //                          bandwidth-bound paths the paper measures must not
-//                          serialize (replaces sparta_lint's omp-critical).
+//                          serialize.
 //   omp.unpadded-atomic    std::atomic in a hot module without alignas
-//                          padding (replaces sparta_lint's shared-counter).
+//                          padding.
 //
 // Known approximations (all false-negative side except where noted): the
 // else branch of a divergent if is not tracked; lambda captures are not

@@ -97,6 +97,13 @@ const std::vector<RuleDoc>& rule_docs() {
        "using namespace at header scope.",
        "It leaks names into every includer.",
        "Qualify names or scope the using-declaration inside a function."},
+      {"contract.raw-assert",
+       "Raw assert() in library code.",
+       "A raw assert vanishes under NDEBUG and aborts without context "
+       "otherwise, so a broken structural invariant turns into a silent wrong "
+       "answer in release builds.",
+       "Use SPARTA_REQUIRE / SPARTA_ASSERT from check/contract.hpp, or "
+       "static_assert for compile-time facts."},
       {"suppression.unused",
        "allow() comment no longer matches a finding.",
        "Stale suppressions hide future regressions at that line.",

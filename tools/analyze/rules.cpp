@@ -417,4 +417,23 @@ void check_hygiene(FileCtx& ctx, const std::set<std::string>& all_rels,
          f.rel + " never includes its own header \"" + sibling + "\"");
 }
 
+// ---------------------------------------------------------------------------
+// contract.raw-assert — `assert(...)` in library code. A raw assert vanishes
+// under NDEBUG and aborts without context otherwise; SPARTA_REQUIRE /
+// SPARTA_ASSERT (check/contract.hpp) are level-gated and throw a
+// descriptive ContractViolation. Comments and strings never produce tokens,
+// and `static_assert` is a different identifier.
+// ---------------------------------------------------------------------------
+
+void check_raw_assert(FileCtx& ctx, std::vector<Finding>& out) {
+  const std::vector<Token>& toks = ctx.file->tokens;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind == TokKind::kIdent && toks[i].text == "assert" &&
+        is_punct(toks[i + 1], "(")) {
+      report(ctx, out, toks[i].line, "contract.raw-assert",
+             "raw assert(); use SPARTA_REQUIRE / SPARTA_ASSERT (check/contract.hpp)");
+    }
+  }
+}
+
 }  // namespace sparta::analyze

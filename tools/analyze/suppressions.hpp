@@ -1,16 +1,15 @@
 // Suppression comments for sparta_analyze.
 //
-// Grammar (shared with tools/sparta_lint.py; the single normative statement
-// lives in DESIGN.md §12):
+// Grammar (the normative statement lives in DESIGN.md §12):
 //
 //     // sparta-<tool>: allow(rule[, rule]...)
 //
-// where <tool> is `analyze` here and `lint` for the Python linter, and each
-// rule matches [a-z0-9.-]+. A suppression applies to findings on its own
-// physical line or the line directly below it, so it can either trail the
-// offending statement or sit on its own line above. Suppressions that never
-// match a finding are themselves reported (rule `suppression.unused`) so
-// stale allowances cannot accumulate.
+// where <tool> is `analyze` (Config::tag; a comment with any other tag is
+// ignored) and each rule matches [a-z0-9.-]+. A suppression applies to
+// findings on its own physical line or the line directly below it, so it
+// can either trail the offending statement or sit on its own line above.
+// Suppressions that never match a finding are themselves reported (rule
+// `suppression.unused`) so stale allowances cannot accumulate.
 #pragma once
 
 #include <string>
