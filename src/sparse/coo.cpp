@@ -1,7 +1,10 @@
 #include "sparse/coo.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+
+#include "sparse/build.hpp"
 
 namespace sparta {
 
@@ -49,13 +52,21 @@ void CooMatrix::compress() {
   entries_.resize(out);
 }
 
-bool CooMatrix::is_compressed() const {
-  for (std::size_t i = 1; i < entries_.size(); ++i) {
-    const auto& a = entries_[i - 1];
-    const auto& b = entries_[i];
-    if (a.row > b.row || (a.row == b.row && a.col >= b.col)) return false;
+bool CooMatrix::is_compressed(int threads) const {
+  // Below this many entries the scan costs less than starting a team.
+  constexpr std::ptrdiff_t kParallelMinEntries = 1 << 15;
+  const int nthreads = build::resolve_threads(threads);
+  const std::vector<Triplet>& entries = entries_;
+  const auto n = static_cast<std::ptrdiff_t>(entries.size());
+  bool sorted = true;
+#pragma omp parallel for default(none) shared(entries, n) num_threads(nthreads) \
+    reduction(&& : sorted) schedule(static) if (n >= kParallelMinEntries)
+  for (std::ptrdiff_t i = 1; i < n; ++i) {
+    const Triplet& a = entries[static_cast<std::size_t>(i) - 1];
+    const Triplet& b = entries[static_cast<std::size_t>(i)];
+    sorted = sorted && (a.row < b.row || (a.row == b.row && a.col < b.col));
   }
-  return true;
+  return sorted;
 }
 
 }  // namespace sparta

@@ -45,8 +45,10 @@ class CooMatrix {
   /// explicit zeros are meaningful for structure-only analyses.
   void compress();
 
-  /// True if entries are sorted by (row, col) with no duplicates.
-  [[nodiscard]] bool is_compressed() const;
+  /// True if entries are sorted by (row, col) with no duplicates. A parallel
+  /// scan; `threads` follows the builders' convention (0 means
+  /// omp_get_max_threads()).
+  [[nodiscard]] bool is_compressed(int threads = 0) const;
 
   [[nodiscard]] const std::vector<Triplet>& entries() const { return entries_; }
   [[nodiscard]] std::vector<Triplet>& entries() { return entries_; }

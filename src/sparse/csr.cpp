@@ -23,7 +23,7 @@ CsrMatrix CsrMatrix::from_coo(const CooMatrix& coo, int threads) {
   const int nthreads = build::resolve_threads(threads);
   const CooMatrix* src = &coo;
   CooMatrix tmp{0, 0};
-  if (!coo.is_compressed()) {
+  if (!coo.is_compressed(nthreads)) {
     tmp = coo;
     tmp.compress();
     src = &tmp;

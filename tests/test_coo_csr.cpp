@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/prng.hpp"
 #include "sparse/coo.hpp"
@@ -61,6 +62,30 @@ TEST(Coo, EmptyIsCompressed) {
   EXPECT_TRUE(coo.is_compressed());
   coo.compress();
   EXPECT_EQ(coo.nnz(), 0);
+}
+
+// The parallel scan gives the serial answer at any thread count, for a single
+// fault anywhere, including at the edges of the per-thread ranges.
+TEST(Coo, IsCompressedAgreesAcrossThreadCounts) {
+  constexpr index_t n = 1 << 17;  // above the parallel threshold
+  CooMatrix sorted{n, 2};
+  for (index_t i = 0; i < n; ++i) sorted.add(i, i % 2, 1.0);
+  for (const int threads : {1, 2, 3, 4}) EXPECT_TRUE(sorted.is_compressed(threads));
+  for (const std::size_t at : {std::size_t{1}, std::size_t{n / 4}, std::size_t{n / 4 + 1},
+                               std::size_t{n / 3}, std::size_t{n / 2}, std::size_t{n - 1}}) {
+    for (const bool duplicate : {false, true}) {
+      CooMatrix bad = sorted;
+      auto& e = bad.entries();
+      if (duplicate) {
+        e[at] = e[at - 1];
+      } else {
+        std::swap(e[at], e[at - 1]);
+      }
+      for (const int threads : {1, 2, 3, 4}) {
+        EXPECT_FALSE(bad.is_compressed(threads)) << at << " " << threads;
+      }
+    }
+  }
 }
 
 TEST(Csr, FromCooBuildsExpectedStructure) {
