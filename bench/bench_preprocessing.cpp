@@ -1,10 +1,11 @@
 // Preprocessing (inspector) pipeline bench — serial reference builders vs.
 // the two-pass parallel builders of DESIGN.md §13, over the gen suite.
 //
-// For every format conversion and the balanced-nnz partitioner we time the
-// serial twin, the parallel builder pinned to one thread, and the parallel
-// builder at the bench thread count, then report the parallel speedup and
-// write a machine-readable summary to BENCH_preprocessing.json.
+// For the CSR-from-COO, delta, SELL and long-row decomposition builders and
+// the balanced-nnz partitioner we time the serial twin, the parallel builder
+// pinned to one thread, and the parallel builder at the bench thread count,
+// then report the parallel speedup and write a machine-readable summary to
+// BENCH_preprocessing.json.
 //
 // `--smoke` runs a reduced matrix set and asserts the regression bound CI
 // cares about: the parallel builder at ONE thread must not be slower than
@@ -21,14 +22,12 @@
 #include "gen/generators.hpp"
 #include "gen/suite.hpp"
 #include "obs/json.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/sell.hpp"
-#include "tuner/plan_cache.hpp"
 
 namespace {
 
@@ -86,9 +85,8 @@ int main(int argc, char** argv) {
     matrices = gen::make_suite();
   }
 
-  std::vector<BuilderTiming> rows{{"csr.from_coo"}, {"delta"},     {"sell"},
-                                  {"bcsr"},         {"decomposed"}, {"partition"},
-                                  {"fingerprint"}};
+  std::vector<BuilderTiming> rows{
+      {"csr.from_coo"}, {"delta"}, {"sell"}, {"decomposed"}, {"partition"}};
   std::size_t sink = 0;
 
   for (const auto& nm : matrices) {
@@ -128,34 +126,19 @@ int main(int argc, char** argv) {
         reps, sink, [&] { return SellMatrix::from_csr(m, 8, 256, threads).bytes(); });
 
     rows[3].serial_seconds += time_best(
-        reps, sink, [&] { return BcsrMatrix::from_csr_serial(m, 4, 4).bytes(); });
-    rows[3].par1_seconds +=
-        time_best(reps, sink, [&] { return BcsrMatrix::from_csr(m, 4, 4, 1).bytes(); });
-    rows[3].parT_seconds += time_best(
-        reps, sink, [&] { return BcsrMatrix::from_csr(m, 4, 4, threads).bytes(); });
-
-    rows[4].serial_seconds += time_best(
         reps, sink, [&] { return DecomposedCsrMatrix::decompose_serial(m).bytes(); });
-    rows[4].par1_seconds += time_best(
+    rows[3].par1_seconds += time_best(
         reps, sink, [&] { return DecomposedCsrMatrix::decompose(m, 0, 1).bytes(); });
-    rows[4].parT_seconds += time_best(reps, sink, [&] {
+    rows[3].parT_seconds += time_best(reps, sink, [&] {
       return DecomposedCsrMatrix::decompose(m, 0, threads).bytes();
     });
 
-    rows[5].serial_seconds += time_best(
+    rows[4].serial_seconds += time_best(
         reps, sink, [&] { return partition_balanced_nnz(m, nparts, 1).size(); });
-    rows[5].par1_seconds += time_best(
+    rows[4].par1_seconds += time_best(
         reps, sink, [&] { return partition_balanced_nnz(m, nparts, 1).size(); });
-    rows[5].parT_seconds += time_best(
+    rows[4].parT_seconds += time_best(
         reps, sink, [&] { return partition_balanced_nnz(m, nparts, threads).size(); });
-
-    rows[6].serial_seconds += time_best(
-        reps, sink, [&] { return static_cast<std::size_t>(tuner::fingerprint(m, 1).hash); });
-    rows[6].par1_seconds += time_best(
-        reps, sink, [&] { return static_cast<std::size_t>(tuner::fingerprint(m, 1).hash); });
-    rows[6].parT_seconds += time_best(reps, sink, [&] {
-      return static_cast<std::size_t>(tuner::fingerprint(m, threads).hash);
-    });
   }
 
   bool ok = true;

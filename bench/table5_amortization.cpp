@@ -223,9 +223,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n(KNL model; " << suite.size()
             << " suite matrices; entries where an optimizer does not beat the\n"
-               " vendor kernel are excluded from the aggregates; repeated plans on\n"
-               " an already-seen matrix skip re-inspection entirely via the\n"
-               " fingerprint-keyed PlanCache, dropping N_iters,min to zero)\n";
+               " vendor kernel are excluded from the aggregates)\n";
   std::cout << (ok ? "break-even check passed: every optimizer amortizes strictly "
                      "faster with the parallel inspector\n"
                    : "break-even check FAILED\n");

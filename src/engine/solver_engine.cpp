@@ -62,6 +62,9 @@ SolverEngine::SolverEngine(const CsrMatrix& a,
   if (!prepared_) {
     throw std::invalid_argument{"SolverEngine: prepared kernel must be non-null"};
   }
+  if (prepared_->nrows() != a.nrows() || prepared_->ncols() != a.ncols()) {
+    throw std::invalid_argument{"SolverEngine: prepared kernel is for a different shape"};
+  }
   // The region partition is fixed at preparation time; the engine must run
   // exactly that many threads.
   threads_ = prepared_->threads();

@@ -56,9 +56,11 @@ class SolverEngine {
   explicit SolverEngine(const CsrMatrix& a, const sim::KernelConfig& cfg = {},
                         const EngineOptions& opts = {});
 
-  /// Adopt an already-prepared kernel instance (e.g. from the tuner's
-  /// PlanCache) instead of re-running preprocessing. `prepared` must be
-  /// non-null, built from `a`, and its thread count wins over opts.threads.
+  /// Adopt an already-prepared kernel instance (e.g. one shared with
+  /// another engine) instead of re-running preprocessing. `prepared` must
+  /// be non-null and built from `a`; its thread count wins over
+  /// opts.threads. Throws std::invalid_argument on null or when its
+  /// nrows()/ncols() differ from `a`'s.
   SolverEngine(const CsrMatrix& a, std::shared_ptr<const kernels::PreparedSpmv> prepared,
                const EngineOptions& opts = {});
 
@@ -73,7 +75,7 @@ class SolverEngine {
   /// Y: nrows x k): one PreparedSpmv::run of the prepared plan, so a k-wide
   /// multiply costs one fork/join — not one per column — and reads the
   /// matrix stream once per k columns. Throws std::invalid_argument on an
-  /// operand width mismatch.
+  /// operand width mismatch or an operand shorter than the matrix.
   void spmm(kernels::ConstDenseBlockView x, kernels::DenseBlockView y, value_t alpha = 1.0,
             value_t beta = 0.0) const;
 

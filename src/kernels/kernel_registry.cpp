@@ -391,7 +391,8 @@ double run_decomposed(Prepared& p, int tid, int nt, const Product& op) {
 
 }  // namespace
 
-PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts) : config_(opts.config) {
+PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
+    : config_(opts.config), nrows_(a.nrows()), ncols_(a.ncols()) {
   if (opts.threads < 0) throw std::invalid_argument{"PreparedSpmv: threads < 0"};
   if (opts.block_width < 1) throw std::invalid_argument{"PreparedSpmv: block_width < 1"};
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
@@ -607,6 +608,9 @@ void PreparedSpmv::run(ConstDenseBlockView x, DenseBlockView y, value_t alpha,
                        value_t beta) const {
   if (x.width != y.width) {
     throw std::invalid_argument{"PreparedSpmv::run: operand width mismatch"};
+  }
+  if (x.rows < ncols_ || y.rows < nrows_) {
+    throw std::invalid_argument{"PreparedSpmv::run: operand shorter than the matrix"};
   }
   run_width_.set(static_cast<double>(x.width));
   const PreparedSpmv& self = *this;

@@ -32,10 +32,8 @@ struct SpmvOptions {
   /// Expected operand width k of run() calls (Y = alpha A X + beta Y with
   /// X/Y being k columns wide). Preparation preplans the register-blocked
   /// chunk schedule for this width (the k-specialized impl table) and sizes
-  /// the symmetric and long-row scratch for it, and the tuner::PlanCache
-  /// keys prepared entries on it so cached plans are never shared across
-  /// incompatible block widths. Any width still executes — non-hinted
-  /// widths take the generic greedy chunking. Must be >= 1.
+  /// the symmetric and long-row scratch for it. Any width still executes —
+  /// non-hinted widths take the generic greedy chunking. Must be >= 1.
   int block_width = 1;
 };
 
@@ -77,7 +75,8 @@ class PreparedSpmv {
 
   /// Run Y = alpha * A * X + beta * Y in one parallel region of threads()
   /// threads. X is ncols x k, Y is nrows x k; the widths must match. Throws
-  /// std::invalid_argument on a width mismatch.
+  /// std::invalid_argument on a width mismatch, or when X has fewer than
+  /// ncols() rows or Y fewer than nrows().
   void run(ConstDenseBlockView x, DenseBlockView y, value_t alpha = 1.0,
            value_t beta = 0.0) const;
 
@@ -95,8 +94,8 @@ class PreparedSpmv {
   /// two products on one plan with a barrier (the symmetric and decomposed
   /// scratch is shared). Given a non-empty `w` — only with contiguous
   /// width-1 X and Y — returns the calling thread's partial sum of
-  /// w[i] * y[i] over its owned rows; otherwise returns 0. Widths must
-  /// match (unchecked).
+  /// w[i] * y[i] over its owned rows; otherwise returns 0. Widths and row
+  /// counts must match (unchecked: this is the per-thread hot path).
   double run_team(ConstDenseBlockView x, DenseBlockView y, value_t alpha, value_t beta,
                   std::span<const value_t> w = {}) const;
 
@@ -104,6 +103,9 @@ class PreparedSpmv {
   /// exact cover of the rows (some ranges possibly empty).
   [[nodiscard]] std::span<const RowRange> region_parts() const;
 
+  /// Shape of the source matrix the plan was prepared from.
+  [[nodiscard]] index_t nrows() const { return nrows_; }
+  [[nodiscard]] index_t ncols() const { return ncols_; }
   /// Wall-clock seconds the preprocessing took.
   [[nodiscard]] double prep_seconds() const { return prep_seconds_; }
   [[nodiscard]] const KernelConfig& config() const { return config_; }
@@ -129,6 +131,8 @@ class PreparedSpmv {
 
  private:
   KernelConfig config_;
+  index_t nrows_ = 0;
+  index_t ncols_ = 0;
   int threads_ = 0;
   int block_width_ = 1;
   double prep_seconds_ = 0.0;

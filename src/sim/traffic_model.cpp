@@ -121,12 +121,6 @@ double sym_matrix_bytes(const CsrMatrix& m) {
 
 }  // namespace
 
-double spmm_sym_stream_bytes(const CsrMatrix& m, int width) {
-  const double per_column =
-      static_cast<double>(m.ncols() + m.nrows()) * sizeof(value_t);
-  return sym_matrix_bytes(m) + static_cast<double>(width) * per_column;
-}
-
 double sym_matrix_stream_ratio(const CsrMatrix& m) {
   const auto nrows = static_cast<double>(m.nrows());
   const auto nnz = static_cast<double>(m.nnz());

@@ -55,16 +55,6 @@ double spmm_stream_bytes(const CsrMatrix& m, int width);
 /// (where SpMM amortizes best) and 0 for hypersparse ones.
 double matrix_traffic_fraction(const CsrMatrix& m);
 
-/// Streamed bytes of one width-k multiply over the *symmetric* storage of
-/// `m` (strict lower triangle + dense diagonal): rowptr once, the lower
-/// colind/values once, the dense diagonal once, plus the same dense operand
-/// footprints as the general kernel. Scratch-window traffic is excluded by
-/// the model — the windows are sized to the partition's column span and
-/// cache-resident by design. `m` must be square with a symmetric pattern
-/// (the count walk pairs every off-diagonal entry; throws
-/// std::invalid_argument otherwise).
-double spmm_sym_stream_bytes(const CsrMatrix& m, int width);
-
 /// Matrix-stream compression of symmetric storage: (symmetric matrix
 /// bytes) / (general CSR matrix bytes), dense operands excluded. The
 /// ISSUE-10 acceptance gate expects <= 0.6 on the SPD suite; approaches

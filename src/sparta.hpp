@@ -43,7 +43,6 @@
 #include "tuner/grid_search.hpp"    // IWYU pragma: export
 #include "tuner/host_profiler.hpp"  // IWYU pragma: export
 #include "tuner/optimizer.hpp"      // IWYU pragma: export
-#include "tuner/plan_cache.hpp"     // IWYU pragma: export
 #include "tuner/partitioned_bounds.hpp"  // IWYU pragma: export
 #include "vendor/inspector_executor.hpp"  // IWYU pragma: export
 #include "vendor/vendor_csr.hpp"    // IWYU pragma: export

@@ -198,7 +198,6 @@ class Autotuner {
 
   [[nodiscard]] const MachineSpec& machine() const { return machine_; }
   [[nodiscard]] const ProfileThresholds& thresholds() const { return thresholds_; }
-  void set_thresholds(const ProfileThresholds& t) { thresholds_ = t; }
   [[nodiscard]] const CostModelParams& cost_model() const { return cost_; }
   [[nodiscard]] const ImbPolicy& imb_policy() const { return imb_; }
   [[nodiscard]] FeatureExtractionConfig extraction_config() const;

@@ -1,8 +1,8 @@
 // Property-based differential harness: several hundred PRNG-seeded matrices
 // drawn from the generator families behind gen::suite, each pushed through
 // every plan the registry can prepare — plain/vectorized/delta/dynamic/
-// decomposed CSR and symmetric storage via PreparedSpmv — plus SELL-C-sigma
-// and BCSR, at operand widths 1/2/4/8, and compared against a naive COO
+// decomposed CSR and symmetric storage via PreparedSpmv — plus SELL-C-sigma,
+// at operand widths 1/2/4/8, and compared against a naive COO
 // reference evaluated in triplet order (a computation path none of the
 // kernels share). A second sweep plants rows above the long-row floor so
 // the decomposed plan's long part runs.
@@ -28,7 +28,6 @@
 #include "kernels/kernel_registry.hpp"
 #include "kernels/spmv_sell.hpp"
 #include "sim/kernel_model.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/sell.hpp"
 
@@ -203,14 +202,6 @@ TEST_P(Differential, AllFormatsAllWidthsAgreeWithCooReference) {
         for (std::size_t r = 0; r < rows; ++r) yc[r] = ys[r * kk + c];
         expect_close(yc, coo_reference(m, xc), seed, "sell k" + std::to_string(k));
       }
-    }
-
-    // BCSR (2x2 and 3x3 blocks) through its reference kernel.
-    for (const index_t blk : {2, 3}) {
-      const BcsrMatrix bcsr = BcsrMatrix::from_csr(m, blk, blk, 4);
-      aligned_vector<value_t> y_bcsr(rows, -7.0);
-      spmv_bcsr_reference(bcsr, x, y_bcsr);
-      expect_close(y_bcsr, want, seed, "bcsr" + std::to_string(blk));
     }
 
     // Symmetric storage over the symmetrized twin, widths 1/2/4/8.

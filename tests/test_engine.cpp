@@ -1,9 +1,10 @@
 // Tests for the persistent-parallel solver execution engine (src/engine/)
 // and the region-reentrant PreparedSpmv entry point it drives: run_team
 // correctness against the serial reference, NUMA first-touch equivalence,
-// partition edge cases, fused-vs-legacy solver agreement on the generator
-// suite and on every plan (the engine runs the plan it is given), the
-// per-product telemetry, NaN breakdown, and the determinism contract.
+// partition edge cases, adopting a prepared plan, fused-vs-legacy solver
+// agreement on the generator suite and on every plan (the engine runs the
+// plan it is given), the per-product telemetry, NaN breakdown, and the
+// determinism contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -202,6 +203,40 @@ TEST(EngineEdge, RejectsShapeMismatch) {
   aligned_vector<value_t> b(5), x(16);
   EXPECT_THROW(eng.cg(b, x), std::invalid_argument);
   EXPECT_THROW(eng.bicgstab(b, x), std::invalid_argument);
+}
+
+// --- Adopting a prepared plan ---------------------------------------------
+
+TEST(EngineAdopt, RunsTheAdoptedPlanAtItsThreadCount) {
+  const CsrMatrix a = gen::stencil5(20, 20);  // SPD, so cg() below converges
+  const auto prepared =
+      std::make_shared<const kernels::PreparedSpmv>(a, kernels::SpmvOptions{.threads = 2});
+  engine::EngineOptions opts;
+  opts.threads = 3;
+  const engine::SolverEngine eng{a, prepared, opts};
+  EXPECT_EQ(&eng.prepared(), prepared.get());  // no re-preparation
+  EXPECT_EQ(eng.threads(), 2);                 // the plan's thread count wins
+
+  aligned_vector<value_t> b(static_cast<std::size_t>(a.nrows()), 1.0);
+  aligned_vector<value_t> x(b.size(), 0.0);
+  EXPECT_TRUE(eng.cg(b, x).converged);
+}
+
+TEST(EngineAdopt, RejectsNullAndPlansForAnotherShape) {
+  const CsrMatrix a = gen::stencil5(10, 10);
+  EXPECT_THROW(engine::SolverEngine(a, nullptr), std::invalid_argument);
+
+  const CsrMatrix bigger = gen::stencil5(40, 40);
+  EXPECT_THROW(
+      engine::SolverEngine(a, std::make_shared<const kernels::PreparedSpmv>(bigger)),
+      std::invalid_argument);
+
+  // Same row count, more columns.
+  CooMatrix coo{a.nrows(), a.ncols() + 20};
+  for (index_t i = 0; i < a.nrows(); ++i) coo.add(i, i, 1.0);
+  const CsrMatrix wider = CsrMatrix::from_coo(coo);
+  EXPECT_THROW(engine::SolverEngine(a, std::make_shared<const kernels::PreparedSpmv>(wider)),
+               std::invalid_argument);
 }
 
 TEST(Engine, FusedCgConvergesLikeLegacy) {

@@ -1,27 +1,20 @@
 // Parallel inspector pipeline (DESIGN.md §13): every two-pass OpenMP format
 // builder must produce BIT-IDENTICAL output to its serial reference twin at
 // every thread count — including edge matrices with empty rows, a single
-// row, and pathologically dense rows — and the fingerprint-keyed plan cache
-// must follow its documented hit/miss/invalidation rules.
+// row, and pathologically dense rows.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "engine/solver_engine.hpp"
 #include "gen/generators.hpp"
-#include "machine/machine_spec.hpp"
-#include "sparse/bcsr.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/sell.hpp"
-#include "tuner/optimizer.hpp"
-#include "tuner/plan_cache.hpp"
 
 namespace sparta {
 namespace {
@@ -166,22 +159,6 @@ TEST(BuilderAgreement, SellMatchesSerial) {
   }
 }
 
-TEST(BuilderAgreement, BcsrMatchesSerial) {
-  for (const CsrMatrix& m : suite()) {
-    for (const auto& [r, c] :
-         {std::pair<index_t, index_t>{2, 2}, std::pair<index_t, index_t>{4, 4}}) {
-      const BcsrMatrix ref = BcsrMatrix::from_csr_serial(m, r, c);
-      for (const int t : kThreadCounts) {
-        const BcsrMatrix par = BcsrMatrix::from_csr(m, r, c, t);
-        ASSERT_EQ(par.nblocks(), ref.nblocks());
-        expect_span_eq(par.block_rowptr(), ref.block_rowptr(), "bcsr.block_rowptr");
-        expect_span_eq(par.block_colind(), ref.block_colind(), "bcsr.block_colind");
-        expect_span_eq(par.values(), ref.values(), "bcsr.values");
-      }
-    }
-  }
-}
-
 TEST(BuilderAgreement, DecomposedMatchesSerial) {
   for (const CsrMatrix& m : suite()) {
     for (const index_t threshold : {index_t{0}, index_t{8}}) {
@@ -212,106 +189,6 @@ TEST(BuilderAgreement, PartitionersMatchAcrossThreadCounts) {
           << "nparts " << nparts;
     }
   }
-}
-
-// --- Fingerprint + plan cache ----------------------------------------------
-
-TEST(FingerprintTest, DeterministicAcrossThreadCounts) {
-  for (const CsrMatrix& m : suite()) {
-    const tuner::Fingerprint ref = tuner::fingerprint(m, 1);
-    EXPECT_EQ(ref.nrows, m.nrows());
-    EXPECT_EQ(ref.ncols, m.ncols());
-    EXPECT_EQ(ref.nnz, m.nnz());
-    for (const int t : kThreadCounts) EXPECT_EQ(tuner::fingerprint(m, t), ref);
-  }
-}
-
-TEST(FingerprintTest, DistinguishesContent) {
-  CsrMatrix a = gen::banded(200, 6, 4, 46);
-  const tuner::Fingerprint before = tuner::fingerprint(a);
-  a.values_mut()[0] += 1.0;
-  EXPECT_NE(tuner::fingerprint(a), before);
-  const CsrMatrix b = gen::banded(200, 6, 4, 47);  // same shape, other values
-  EXPECT_NE(tuner::fingerprint(b), before);
-}
-
-TEST(PlanCacheTest, TuneHitsOnSameMatrix) {
-  tuner::PlanCache cache{4};
-  const Autotuner tuner{knc()};
-  const CsrMatrix m = gen::random_uniform(3000, 10, 48);
-  const OptimizationPlan first = cache.tune(tuner, m);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  const OptimizationPlan second = cache.tune(tuner, m);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(second.strategy, first.strategy);
-  EXPECT_EQ(second.config.describe(), first.config.describe());
-  EXPECT_DOUBLE_EQ(second.gflops, first.gflops);
-  EXPECT_DOUBLE_EQ(second.t_pre_seconds, first.t_pre_seconds);
-  // A different policy is a different key.
-  (void)cache.tune(tuner, m, {.policy = TunePolicy::kOracle});
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(PlanCacheTest, PrepareReturnsSharedInstanceOnHit) {
-  tuner::PlanCache cache{4};
-  const CsrMatrix m = gen::banded(800, 10, 6, 49);
-  const auto a = cache.prepare(m, {.threads = 2});
-  const auto b = cache.prepare(m, {.threads = 2});
-  EXPECT_EQ(a.get(), b.get());  // a hit shares the prepared instance
-  EXPECT_EQ(cache.stats().hits, 1u);
-  const auto c = cache.prepare(m, {.threads = 3});  // different key
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(PlanCacheTest, InPlaceMutationInvalidates) {
-  tuner::PlanCache cache{4};
-  CsrMatrix m = gen::banded(800, 10, 6, 50);
-  const auto a = cache.prepare(m);
-  m.values_mut()[0] *= 2.0;  // same addresses, different bytes
-  const auto b = cache.prepare(m);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(PlanCacheTest, EvictsLruAtCapacityAndClears) {
-  tuner::PlanCache cache{2};
-  std::vector<CsrMatrix> ms;
-  for (int i = 0; i < 3; ++i) ms.push_back(gen::random_uniform(300, 5, 51 + i));
-  std::vector<std::shared_ptr<const kernels::PreparedSpmv>> held;
-  for (const CsrMatrix& m : ms) held.push_back(cache.prepare(m));
-  EXPECT_EQ(cache.size(), 2u);
-  // ms[0] was evicted (LRU): preparing it again misses.
-  (void)cache.prepare(ms[0]);
-  EXPECT_EQ(cache.stats().misses, 4u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().misses, 4u);  // stats survive clear()
-}
-
-TEST(PlanCacheTest, EngineAdoptsCachedKernel) {
-  tuner::PlanCache cache{4};
-  const CsrMatrix m = gen::stencil5(20, 20);  // SPD, so cg() below converges
-  const auto prepared = cache.prepare(m, {.threads = 2});
-  const engine::SolverEngine eng{m, prepared};
-  EXPECT_EQ(&eng.prepared(), prepared.get());  // no re-preparation
-  EXPECT_EQ(eng.threads(), prepared->threads());
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  aligned_vector<value_t> b(static_cast<std::size_t>(m.nrows()), 1.0);
-  aligned_vector<value_t> x(static_cast<std::size_t>(m.nrows()), 0.0);
-  const auto result = eng.cg(b, x);
-  EXPECT_TRUE(result.converged);
-
-  EXPECT_THROW(engine::SolverEngine(m, nullptr), std::invalid_argument);
-}
-
-TEST(PlanCacheTest, GlobalInstanceIsShared) {
-  tuner::PlanCache& g1 = tuner::PlanCache::global();
-  tuner::PlanCache& g2 = tuner::PlanCache::global();
-  EXPECT_EQ(&g1, &g2);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // plans to a per-row loop over the scalar row body,
 // wider operands must agree with k independent SpMVs to reduction rounding,
 // and the alpha/beta generalization must honor its identities. Also covers
-// the block_width preparation hint, the PlanCache keying on it, run_team
-// inside a caller's region, the engine's spmm, and the SELL block kernel.
+// the block_width preparation hint, operand shape checks, run_team inside a
+// caller's region, the engine's spmm, and the SELL block kernel.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -15,9 +15,9 @@
 #include "kernels/kernel_registry.hpp"
 #include "kernels/spmv_kernels.hpp"
 #include "kernels/spmv_sell.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/sell.hpp"
 #include "tuner/optimizations.hpp"
-#include "tuner/plan_cache.hpp"
 
 namespace sparta {
 namespace {
@@ -292,18 +292,35 @@ TEST(Spmm, WidthMismatchThrows) {
                std::invalid_argument);
 }
 
-// --- PlanCache keys on the width hint --------------------------------------
+// run() checks operand rows against the plan's source shape: a short X
+// would be gathered past its end, a short Y written past it.
+TEST(Spmm, ShortOperandThrows) {
+  const CsrMatrix m = gen::stencil5(40, 40);  // 1600 x 1600
+  const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.threads = 2}};
+  EXPECT_EQ(prepared.nrows(), m.nrows());
+  EXPECT_EQ(prepared.ncols(), m.ncols());
+  aligned_vector<value_t> x(1600, 1.0), y(1600, 0.0), short_v(100, 0.0);
+  EXPECT_THROW(prepared.run(short_v, y), std::invalid_argument);
+  EXPECT_THROW(prepared.run(x, short_v), std::invalid_argument);
+  aligned_vector<value_t> xs(1600 * 2, 1.0), ys(1600 * 2, 0.0);
+  EXPECT_THROW(prepared.run(kernels::ConstDenseBlockView{xs.data(), 100, 2, 2},
+                            kernels::DenseBlockView{ys.data(), 1600, 2, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(prepared.run(kernels::ConstDenseBlockView{xs.data(), 1600, 2, 2},
+                            kernels::DenseBlockView{ys.data(), 100, 2, 2}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(prepared.run(x, y));
 
-TEST(Spmm, PlanCacheKeysOnBlockWidth) {
-  const CsrMatrix m = gen::banded(800, 40, 6, 451);
-  tuner::PlanCache cache{8};
-  const auto w1 = cache.prepare(m, kernels::SpmvOptions{.threads = 2, .block_width = 1});
-  const auto w4 = cache.prepare(m, kernels::SpmvOptions{.threads = 2, .block_width = 4});
-  EXPECT_NE(w1.get(), w4.get());
-  EXPECT_EQ(cache.stats().hits, 0u);
-  const auto w4_again = cache.prepare(m, kernels::SpmvOptions{.threads = 2, .block_width = 4});
-  EXPECT_EQ(w4.get(), w4_again.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
+  // A wide plan: X needs ncols() rows, Y only nrows(); longer is fine.
+  CooMatrix coo{50, 80};
+  for (index_t i = 0; i < 50; ++i) coo.add(i, i + 30, 1.0);
+  const CsrMatrix wide = CsrMatrix::from_coo(coo);
+  const kernels::PreparedSpmv wide_plan{wide, kernels::SpmvOptions{.threads = 2}};
+  EXPECT_EQ(wide_plan.nrows(), 50);
+  EXPECT_EQ(wide_plan.ncols(), 80);
+  aligned_vector<value_t> x50(50, 1.0), y50(50, 0.0);
+  EXPECT_THROW(wide_plan.run(x50, y50), std::invalid_argument);
+  EXPECT_NO_THROW(wide_plan.run(x, y50));
 }
 
 // --- Region-reentrant block path and the engine ----------------------------
