@@ -33,13 +33,11 @@ void validate(const OptimizationPlan& plan, Level effort) {
   // a mismatch means the plan would run a different kernel than it reports.
   // The symmetric-storage bit is the one field the optimization pool does
   // not own (the planner sets it orthogonally for symmetric matrices), so
-  // it is carried over before the comparison — but never next to the
-  // rewrites it is exclusive with.
+  // it is carried over before the comparison — but only where the rest of
+  // the config allows it.
   kernels::KernelConfig expected = config_for(plan.optimizations);
   expected.symmetric = plan.config.symmetric;
-  if (plan.config.symmetric &&
-      (plan.config.delta || plan.config.decomposed ||
-       plan.config.schedule == kernels::Schedule::kDynamicChunks)) {
+  if (plan.config.symmetric && !plan.config.allows_symmetric()) {
     fail_v("plan.config.symmetric.exclusive",
            "symmetric storage combined with delta/decomposed/dynamic in '" +
                plan.config.describe() + "'");

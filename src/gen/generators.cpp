@@ -271,4 +271,21 @@ CsrMatrix make_diagonally_dominant(const CsrMatrix& m, std::uint64_t seed) {
   return CsrMatrix::from_coo(coo);
 }
 
+CsrMatrix symmetrized(const CsrMatrix& m, std::uint64_t seed) {
+  Xoshiro256 rng{seed};
+  CooMatrix coo{m.nrows(), m.nrows()};
+  for (index_t i = 0; i < m.nrows(); ++i) {
+    const auto cols = m.row_cols(i);
+    const auto vals = m.row_vals(i);
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      if (cols[k] >= i) break;  // columns are sorted; lower triangle only
+      coo.add(i, cols[k], vals[k]);
+      coo.add(cols[k], i, vals[k]);
+    }
+    coo.add(i, i, rng.uniform(1.0, 2.0));
+  }
+  coo.compress();
+  return CsrMatrix::from_coo(coo);
+}
+
 }  // namespace sparta::gen

@@ -73,4 +73,8 @@ CsrMatrix block_diagonal(index_t n, index_t block, std::uint64_t seed);
 /// diagonal if missing) — makes CG/GMRES converge for solver experiments.
 CsrMatrix make_diagonally_dominant(const CsrMatrix& m, std::uint64_t seed);
 
+/// Exactly symmetric twin of a square matrix: its strict lower triangle,
+/// mirrored, plus a uniform(1, 2) value on the full diagonal.
+CsrMatrix symmetrized(const CsrMatrix& m, std::uint64_t seed);
+
 }  // namespace sparta::gen

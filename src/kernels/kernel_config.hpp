@@ -45,6 +45,14 @@ struct KernelConfig {
   /// Short tag such as "csr+vec+pf" for tables and logs.
   [[nodiscard]] std::string describe() const;
 
+  /// Whether symmetric storage may run under this config's other choices:
+  /// never next to delta or long-row decomposition (the format rewrites it
+  /// replaces), and never under the dynamic schedule (its halo windows are
+  /// keyed to a static row partition).
+  [[nodiscard]] bool allows_symmetric() const {
+    return !delta && !decomposed && schedule != Schedule::kDynamicChunks;
+  }
+
   friend bool operator==(const KernelConfig&, const KernelConfig&) = default;
 };
 

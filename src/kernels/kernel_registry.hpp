@@ -53,7 +53,10 @@ struct SpmvOptions {
 ///  - CSR and delta: one phase over the owned rows;
 ///  - dynamic schedule: the rows self-scheduled in 64-row chunks, then —
 ///    when a dot is fused — a pass over the owned rows;
-///  - symmetric storage: scatter, then reduce (kernels/spmv_sym.hpp);
+///  - symmetric storage: the owned rows stored straight into Y, mirrors
+///    below a part's first row collected in its halo window, then each
+///    owner adds the later parts' halo rows, then — when a dot is fused — a
+///    pass over the owned rows (kernels/spmv_sym.hpp);
 ///  - long-row decomposition: the owned short rows plus each part's nnz
 ///    slice of every long row, then the long-row owner sums the slices in
 ///    part order.

@@ -1,6 +1,7 @@
 #include "sparse/sym_csr.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "check/contract.hpp"
@@ -19,38 +20,29 @@ struct ChunkTally {
   index_t diag_rows = 0;
 };
 
-/// True iff the stored strict-lower structure holds (row, col) with a
-/// bit-identical value (binary search; columns are sorted within a row).
-bool lower_mirror_matches(std::span<const offset_t> rowptr, std::span<const index_t> colind,
-                          std::span<const value_t> values, index_t row, index_t col,
-                          value_t v) {
-  const auto first = colind.begin() +
-                     static_cast<std::ptrdiff_t>(rowptr[static_cast<std::size_t>(row)]);
-  const auto last = colind.begin() +
-                    static_cast<std::ptrdiff_t>(rowptr[static_cast<std::size_t>(row) + 1]);
-  const auto it = std::lower_bound(first, last, col);
-  if (it == last || *it != col) return false;
-  return values[static_cast<std::size_t>(it - colind.begin())] == v;
+/// True iff row `row` of the source holds column `col` with the
+/// bit-identical value `v` (binary search; columns are sorted within a row).
+/// The fill passes check each lower entry (i, c), c < i, against the
+/// source's (c, i): with equal strict-lower and strict-upper counts, finding
+/// every lower entry's mirror proves symmetry, since distinct lower entries
+/// have distinct mirrors.
+bool source_has(const CsrMatrix& a, index_t row, index_t col, value_t v) {
+  const auto cols = a.row_cols(row);
+  const auto it = std::lower_bound(cols.begin(), cols.end(), col);
+  return it != cols.end() && *it == col &&
+         a.row_vals(row)[static_cast<std::size_t>(it - cols.begin())] == v;
 }
 
-/// Mirror verification over rows [begin, end): every upper-triangle entry of
-/// the source must have a bit-equal stored lower mirror. Returns false on
-/// the first violation (the caller throws outside any parallel region).
-bool verify_mirrors(const CsrMatrix& a, const SymCsrMatrix& out, std::size_t begin,
-                    std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const auto row = static_cast<index_t>(i);
-    const auto cols = a.row_cols(row);
-    const auto vals = a.row_vals(row);
-    for (std::size_t j = 0; j < cols.size(); ++j) {
-      if (cols[j] <= row) continue;
-      if (!lower_mirror_matches(out.rowptr(), out.colind(), out.values(), cols[j], row,
-                                vals[j])) {
-        return false;
-      }
-    }
-  }
-  return true;
+/// True iff source position `k` lies in row `row` and holds column `col`
+/// with the bit-identical value `v` — the cursor form of source_has.
+bool source_has_at(const CsrMatrix& a, index_t row, index_t col, value_t v, std::size_t k) {
+  return k < static_cast<std::size_t>(a.rowptr()[static_cast<std::size_t>(row) + 1]) &&
+         a.colind()[k] == col && a.values()[k] == v;
+}
+
+[[noreturn]] void fail_square() {
+  throw check::ValidationError{"symcsr.source.square",
+                               "symmetric storage requires a square matrix"};
 }
 
 [[noreturn]] void fail_mirror() {
@@ -62,16 +54,10 @@ bool verify_mirrors(const CsrMatrix& a, const SymCsrMatrix& out, std::size_t beg
 
 }  // namespace
 
-SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
+std::optional<SymCsrMatrix> SymCsrMatrix::try_build(const CsrMatrix& a, int threads) {
   const int nthreads = build::resolve_threads(threads);
-  if (a.nrows() != a.ncols()) {
-    throw check::ValidationError{"symcsr.source.square",
-                                 "symmetric storage requires a square matrix"};
-  }
+  if (a.nrows() != a.ncols()) return std::nullopt;
   build::PhaseRecorder rec{"symcsr"};
-  SymCsrMatrix out;
-  out.nrows_ = a.nrows();
-  out.source_nnz_ = a.nnz();
 
   // Count pass: rows classify their entries independently (strict lower /
   // diagonal / strict upper); fixed row chunks tally each kind. Chunking
@@ -101,8 +87,9 @@ SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
     tally[static_cast<std::size_t>(cidx)] = t;
   }
 
-  // Scan pass: exclusive prefix over the lower tallies -> per-chunk bases;
-  // the upper/lower totals must already balance for a symmetric pattern.
+  // Scan pass: exclusive prefix over the lower tallies -> per-chunk bases.
+  // A symmetric pattern balances its strict triangles, so an unbalanced one
+  // is rejected here, before anything is allocated.
   rec.phase("scan");
   std::vector<offset_t> base(static_cast<std::size_t>(nchunks));
   offset_t lower_total = 0;
@@ -114,62 +101,76 @@ SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
     upper_total += tally[static_cast<std::size_t>(cidx)].upper_nnz;
     diag_total += tally[static_cast<std::size_t>(cidx)].diag_rows;
   }
-  if (upper_total != lower_total) fail_mirror();
-  out.diag_entries_ = diag_total;
+  if (upper_total != lower_total) return std::nullopt;
 
   // Fill pass: each chunk walks its rows with a running offset seeded from
   // its base, writing every output slot absolutely so the layout is
   // identical to the serial row-order build and every default-init
-  // numa_vector page is first-touched by its filling thread.
+  // numa_vector page is first-touched by its filling thread. Each lower
+  // entry (i, c) is checked against the source's (c, i) on the way. Rows
+  // of a chunk meet the mirrors in one source row c in ascending i, which
+  // is row c's column order, so a row c of the same chunk keeps a cursor
+  // on its next unmatched upper entry (`next_upper[c]`, set when row c is
+  // filled); a row c of an earlier chunk is binary-searched. A chunk stops
+  // at its first miss and records it; the caller sees nullopt.
   rec.phase("fill");
+  SymCsrMatrix out;
+  out.nrows_ = a.nrows();
+  out.source_nnz_ = a.nnz();
+  out.diag_entries_ = diag_total;
   out.rowptr_ = numa_vector<offset_t>(n + 1);
   out.rowptr_[0] = 0;
   out.colind_ = numa_vector<index_t>(static_cast<std::size_t>(lower_total));
   out.values_ = numa_vector<value_t>(static_cast<std::size_t>(lower_total));
   out.diag_ = numa_vector<value_t>(n);
   out.diag_present_ = numa_vector<std::uint8_t>(n);
-#pragma omp parallel for default(none) shared(out, a, base, n, nchunks) \
+  numa_vector<offset_t> next_upper(n);
+  std::vector<std::uint8_t> chunk_ok(static_cast<std::size_t>(nchunks), 1);
+#pragma omp parallel for default(none) shared(out, a, base, next_upper, chunk_ok, n, nchunks) \
     num_threads(nthreads) schedule(static)
   for (int cidx = 0; cidx < nchunks; ++cidx) {
+    const auto rowptr = a.rowptr();
+    const auto colind = a.colind();
+    const auto values = a.values();
     offset_t off = base[static_cast<std::size_t>(cidx)];
+    bool ok = true;
     const auto begin = build::chunk_begin(n, nchunks, cidx);
     const auto end = build::chunk_begin(n, nchunks, cidx + 1);
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = begin; i < end && ok; ++i) {
       const auto row = static_cast<index_t>(i);
-      const auto cols = a.row_cols(row);
-      const auto vals = a.row_vals(row);
-      value_t d = 0.0;
-      std::uint8_t present = 0;
-      for (std::size_t j = 0; j < cols.size(); ++j) {
-        if (cols[j] < row) {
-          out.colind_[static_cast<std::size_t>(off)] = cols[j];
-          out.values_[static_cast<std::size_t>(off)] = vals[j];
-          ++off;
-        } else if (cols[j] == row) {
-          d = vals[j];
-          present = 1;
+      auto j = static_cast<std::size_t>(rowptr[i]);
+      const auto row_end = static_cast<std::size_t>(rowptr[i + 1]);
+      for (; j < row_end && colind[j] < row; ++j) {
+        const index_t c = colind[j];
+        const value_t v = values[j];
+        out.colind_[static_cast<std::size_t>(off)] = c;
+        out.values_[static_cast<std::size_t>(off)] = v;
+        ++off;
+        const auto ci = static_cast<std::size_t>(c);
+        if (ci < begin) {
+          ok = ok && source_has(a, c, row, v);
+        } else {
+          const auto k = static_cast<std::size_t>(next_upper[ci]);
+          ok = ok && source_has_at(a, c, row, v, k);
+          next_upper[ci] = static_cast<offset_t>(k + 1);
         }
       }
+      value_t d = 0.0;
+      std::uint8_t present = 0;
+      if (j < row_end && colind[j] == row) {
+        d = values[j];
+        present = 1;
+        ++j;
+      }
+      next_upper[i] = static_cast<offset_t>(j);
       out.diag_[i] = d;
       out.diag_present_[i] = present;
       out.rowptr_[i + 1] = off;
     }
-  }
-
-  // Verify pass: balanced strict-triangle counts cannot prove symmetry on
-  // their own, so every upper entry is matched against its stored lower
-  // mirror. Chunks record a flag; the throw happens outside the region.
-  rec.phase("verify");
-  std::vector<std::uint8_t> chunk_ok(static_cast<std::size_t>(nchunks), 1);
-#pragma omp parallel for default(none) shared(chunk_ok, out, a, n, nchunks) \
-    num_threads(nthreads) schedule(static)
-  for (int cidx = 0; cidx < nchunks; ++cidx) {
-    const auto begin = build::chunk_begin(n, nchunks, cidx);
-    const auto end = build::chunk_begin(n, nchunks, cidx + 1);
-    chunk_ok[static_cast<std::size_t>(cidx)] = verify_mirrors(a, out, begin, end) ? 1 : 0;
+    chunk_ok[static_cast<std::size_t>(cidx)] = ok ? 1 : 0;
   }
   for (const std::uint8_t ok : chunk_ok) {
-    if (ok == 0) fail_mirror();
+    if (ok == 0) return std::nullopt;
   }
   rec.finish(out.bytes());
   // Triangle purity, diagonal accounting and mirror-nnz conservation
@@ -178,11 +179,17 @@ SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
   return out;
 }
 
-SymCsrMatrix SymCsrMatrix::build_serial(const CsrMatrix& a) {
-  if (a.nrows() != a.ncols()) {
-    throw check::ValidationError{"symcsr.source.square",
-                                 "symmetric storage requires a square matrix"};
+SymCsrMatrix SymCsrMatrix::build(const CsrMatrix& a, int threads) {
+  auto out = try_build(a, threads);
+  if (!out) {
+    if (a.nrows() != a.ncols()) fail_square();
+    fail_mirror();
   }
+  return std::move(*out);
+}
+
+SymCsrMatrix SymCsrMatrix::build_serial(const CsrMatrix& a) {
+  if (a.nrows() != a.ncols()) fail_square();
   SymCsrMatrix out;
   out.nrows_ = a.nrows();
   out.source_nnz_ = a.nnz();
@@ -193,6 +200,7 @@ SymCsrMatrix SymCsrMatrix::build_serial(const CsrMatrix& a) {
   out.diag_ = numa_vector<value_t>(n);
   out.diag_present_ = numa_vector<std::uint8_t>(n);
   offset_t upper_total = 0;
+  bool mirrored = true;
   for (index_t i = 0; i < a.nrows(); ++i) {
     const auto cols = a.row_cols(i);
     const auto vals = a.row_vals(i);
@@ -202,6 +210,7 @@ SymCsrMatrix SymCsrMatrix::build_serial(const CsrMatrix& a) {
       if (cols[j] < i) {
         out.colind_.push_back(cols[j]);
         out.values_.push_back(vals[j]);
+        mirrored = mirrored && source_has(a, cols[j], i, vals[j]);
       } else if (cols[j] > i) {
         ++upper_total;
       } else {
@@ -214,8 +223,7 @@ SymCsrMatrix SymCsrMatrix::build_serial(const CsrMatrix& a) {
     out.diag_present_[static_cast<std::size_t>(i)] = present;
     out.rowptr_[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(out.colind_.size());
   }
-  if (upper_total != out.rowptr_.back()) fail_mirror();
-  if (!verify_mirrors(a, out, 0, n)) fail_mirror();
+  if (!mirrored || upper_total != out.rowptr_.back()) fail_mirror();
   SPARTA_CHECK_STRUCTURE(out, a);
   return out;
 }

@@ -7,7 +7,7 @@
 // stored nonzero a(i, j) with j < i then contributes to both y[i] (the
 // direct product with x[j]) and y[j] (the mirrored product with x[i]),
 // cutting the streamed colind/values bytes roughly in half at the price of
-// a scattered write — resolved by the conflict-free two-phase kernels in
+// a scattered write — resolved by the conflict-free kernels in
 // kernels/spmv_sym.hpp, not by atomics.
 //
 // Layout:
@@ -20,12 +20,16 @@
 //
 // Built from a general CSR via the established two-pass parallel
 // count/scan/fill pipeline (DESIGN.md §13) with a serial reference twin;
-// the output is bit-identical for every thread count. Both builders verify
-// the source is square and pattern+value symmetric (every upper entry must
-// have a bit-equal lower mirror) and throw check::ValidationError otherwise.
+// the output is bit-identical for every thread count. The builders verify
+// the source is square and pattern+value symmetric: the count pass compares
+// the strict-lower and strict-upper counts, and the fill pass finds a
+// bit-equal upper mirror for every lower entry. try_build() reports a
+// failure as std::nullopt; build() and build_serial() throw
+// check::ValidationError.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "common/numa.hpp"
@@ -38,10 +42,15 @@ class SymCsrMatrix {
  public:
   SymCsrMatrix() : rowptr_{0} {}
 
-  /// Parallel two-pass build from a symmetric general CSR. `threads` = 0
-  /// means omp_get_max_threads(); negative throws std::invalid_argument.
-  /// Throws check::ValidationError (violation "symcsr.source.*") if the
-  /// source is not square or not exactly symmetric.
+  /// Parallel two-pass build from a general CSR. Returns std::nullopt when
+  /// the source is not square or not exactly symmetric; a source with
+  /// unequal strict-lower and strict-upper counts is rejected by the count
+  /// pass, before anything is allocated. `threads` = 0 means
+  /// omp_get_max_threads(); negative throws std::invalid_argument.
+  static std::optional<SymCsrMatrix> try_build(const CsrMatrix& a, int threads = 0);
+
+  /// try_build() that throws check::ValidationError instead (violation
+  /// "symcsr.source.square" or "symcsr.source.mirror").
   static SymCsrMatrix build(const CsrMatrix& a, int threads = 0);
 
   /// Serial reference twin of build() — the golden output the parallel

@@ -167,22 +167,43 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     plan.config = config_for(plan.optimizations);
   }
 
-  // Prepare (format conversion etc.) — part of the preprocessing bill.
+  // Prepare (format conversion etc.) and measure the optimized kernel, the
+  // symmetric plan first where the rider applies (see host_profiler.hpp);
+  // t_pre runs up to the last preparation.
   std::optional<kernels::PreparedSpmv> prepared;
-  {
-    const obs::ScopedPhase phase{phases, "prepare"};
-    prepared.emplace(m, kernels::SpmvOptions{.config = plan.config, .threads = threads});
-  }
-  plan.t_pre_seconds = preprocessing.seconds();
-
-  // Measure the optimized kernel.
   Repetitions measured;
-  {
-    const obs::ScopedPhase phase{phases, "measure"};
+  double prepare_seconds = 0.0;
+  double measure_seconds = 0.0;
+  const auto prepare_and_measure = [&](const kernels::KernelConfig& config) {
+    const Timer prepare;
+    prepared.emplace(m, kernels::SpmvOptions{.config = config, .threads = threads});
+    prepare_seconds += prepare.seconds();
+    plan.t_pre_seconds = preprocessing.seconds();
+    const Timer measure;
+    // Allocated after the preparation: allocating them first changed the
+    // heap layout enough to raise the peak RSS of perfbench's power-law
+    // SpMM sessions from 514 to 568 MB.
     aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()), 1.0);
     aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
     measured = time_repetitions([&] { prepared->run(x, y); }, options.iterations);
+    measure_seconds += measure.seconds();
+  };
+  const bool symmetric_tried = m.nrows() == m.ncols() && plan.config.allows_symmetric();
+  bool symmetric_applied = false;
+  double symmetric_mean = 0.0;
+  if (symmetric_tried) {
+    kernels::KernelConfig config = plan.config;
+    config.symmetric = true;
+    prepare_and_measure(config);
+    symmetric_applied = prepared->symmetric_applied();
+    if (symmetric_applied) symmetric_mean = measured.mean;
   }
+  plan.config.symmetric = symmetric_applied && symmetric_mean < bounds.t_csr_seconds;
+  if (!prepared || prepared->symmetric_applied() != plan.config.symmetric) {
+    prepare_and_measure(plan.config);
+  }
+  phases.push_back({"prepare", prepare_seconds * 1e6});
+  phases.push_back({"measure", measure_seconds * 1e6});
   plan.t_spmv_seconds = measured.best;
   plan.gflops = plan.t_spmv_seconds > 0.0
                     ? 2.0 * static_cast<double>(m.nnz()) / plan.t_spmv_seconds * 1e-9
@@ -210,6 +231,10 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     t->extra.emplace_back("reps_ml", reps.ml);
     t->extra.emplace_back("reps_cmp", reps.cmp);
     t->extra.emplace_back("reps_measure", measured.count);
+    t->extra.emplace_back("symmetric_tried", symmetric_tried ? 1.0 : 0.0);
+    t->extra.emplace_back("symmetric_applied", symmetric_applied ? 1.0 : 0.0);
+    t->extra.emplace_back("symmetric_kept", plan.config.symmetric ? 1.0 : 0.0);
+    t->extra.emplace_back("symmetric_mean_seconds", symmetric_mean);
     plan.trace = std::move(t);
   }
   return plan;

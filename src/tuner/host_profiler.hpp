@@ -41,9 +41,24 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
 /// and *prepare* the optimized kernel, then time it. The returned plan's
 /// gflops/t_spmv are real measurements and t_pre is the real wall-clock
 /// preprocessing cost (profiling + conversion), so the amortization formula
-/// can be applied to live data. The trace's `extra` records the timed
-/// repetitions of each kernel (reps_csr, reps_ml, reps_cmp, reps_measure).
-/// Throws std::invalid_argument when `options.iterations` < 1.
+/// can be applied to live data.
+///
+/// Symmetric-storage rider (the simulated Autotuner::plan has the same): on
+/// a square matrix whose selected config allows symmetric storage
+/// (KernelConfig::allows_symmetric), the symmetric plan is prepared first.
+/// A matrix that is not exactly symmetric keeps the general plan; a built
+/// symmetric plan is kept only if its mean timed repetition is below the
+/// bounds phase's baseline CSR mean (PerfBounds::t_csr_seconds), and is
+/// otherwise replaced by the general plan, prepared and measured anew. The
+/// returned config is exactly the plan measured last.
+///
+/// The trace's `extra` records the timed repetitions of each kernel
+/// (reps_csr, reps_ml, reps_cmp, reps_measure — the last of the plan
+/// measured last) and the rider's decision: symmetric_tried,
+/// symmetric_applied (the build accepted the matrix), symmetric_kept (the
+/// returned config.symmetric) and symmetric_mean_seconds (the symmetric
+/// plan's mean repetition, 0 when none was built; compare t_csr_seconds in
+/// `bounds`). Throws std::invalid_argument when `options.iterations` < 1.
 OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options = {},
                            const ProfileThresholds& thresholds = {},
                            const ImbPolicy& imb = {});

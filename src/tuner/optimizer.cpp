@@ -273,15 +273,12 @@ OptimizationPlan Autotuner::plan(const Evaluation& e, const TuneOptions& opts) c
         break;
     }
     // Symmetric-storage rider: an exactly symmetric matrix runs its plan on
-    // lower-triangle+diagonal storage whenever the selected config is
-    // compatible (never next to the rewrites it is exclusive with, and the
-    // scatter/reduce windows need a static schedule). The reported rate is
-    // left at the simulated general-kernel value — conservative, since the
-    // halved matrix stream only helps — but the storage build is charged to
-    // t_pre like any other conversion (the oracle stays a zero-overhead
-    // hypothetical).
-    if (e.symmetric && !p.config.delta && !p.config.decomposed &&
-        p.config.schedule != sim::Schedule::kDynamicChunks) {
+    // lower-triangle+diagonal storage whenever the selected config allows it
+    // (KernelConfig::allows_symmetric). The reported rate is left at the
+    // simulated general-kernel value — conservative, since the halved matrix
+    // stream only helps — but the storage build is charged to t_pre like any
+    // other conversion (the oracle stays a zero-overhead hypothetical).
+    if (e.symmetric && p.config.allows_symmetric()) {
       p.config.symmetric = true;
       if (p.strategy != "oracle") {
         p.t_pre_seconds +=

@@ -9,7 +9,7 @@
 //
 // Tolerance note: the reference accumulates y[i] in coordinate order with a
 // plain double; the kernels reassociate (register-blocked lanes, chunked
-// columns, scatter/reduce partials). For a row of m terms the worst-case
+// columns, symmetric halo partials). For a row of m terms the worst-case
 // reassociation drift is ~m * eps * sum|terms|; with |values|, |x| <= 1 and
 // rows <= ~1000 nonzeros that is < 1e-12, so the comparison uses
 // |got - want| <= 1e-10 * max(1, |want|) — the repo-wide kernel tolerance
@@ -106,25 +106,6 @@ void expect_close(std::span<const value_t> got, std::span<const value_t> want,
   }
 }
 
-// Symmetrize a general matrix (half the cases exercise SymCsr): keep the
-// lower triangle, mirror it, and put a positive value on the full diagonal.
-CsrMatrix symmetrized(const CsrMatrix& m, std::uint64_t seed) {
-  Xoshiro256 rng{seed};
-  CooMatrix coo{m.nrows(), m.nrows()};
-  for (index_t i = 0; i < m.nrows(); ++i) {
-    const auto cols = m.row_cols(i);
-    const auto vals = m.row_vals(i);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      if (cols[k] >= i) break;  // columns are sorted; lower triangle only
-      coo.add(i, cols[k], vals[k]);
-      coo.add(cols[k], i, vals[k]);
-    }
-    coo.add(i, i, rng.uniform(1.0, 2.0));
-  }
-  coo.compress();
-  return CsrMatrix::from_coo(coo);
-}
-
 void run_prepared_case(const CsrMatrix& m, const sim::KernelConfig& cfg, std::uint64_t seed,
                        const std::string& what) {
   const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = cfg, .threads = 4}};
@@ -207,7 +188,7 @@ TEST_P(Differential, AllFormatsAllWidthsAgreeWithCooReference) {
     // Symmetric storage over the symmetrized twin, widths 1/2/4/8.
     sim::KernelConfig sym;
     sym.symmetric = true;
-    run_prepared_case(symmetrized(m, seed ^ 0x517), sym, seed, "sym");
+    run_prepared_case(gen::symmetrized(m, seed ^ 0x517), sym, seed, "sym");
   }
 }
 

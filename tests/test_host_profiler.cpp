@@ -10,6 +10,7 @@
 
 #include "common/timer.hpp"
 #include "gen/generators.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "kernels/spmv_timed.hpp"
 #include "tuner/host_profiler.hpp"
 
@@ -156,6 +157,59 @@ TEST(HostTune, TimeBudgetBoundsRepetitions) {
     EXPECT_LT(n, 100000.0);
   }
   EXPECT_LT(seconds, 30.0);
+}
+
+/// Tune `m` at 2 threads with the trace on. The thresholds keep the MB and
+/// IMB classes (delta, decomposition, dynamic schedule) out of the plan, so
+/// the symmetric rider's config gate opens whatever this host measures.
+OptimizationPlan traced_tune(const CsrMatrix& m) {
+  HostProfileOptions opts;
+  opts.threads = 2;
+  opts.iterations = 4;
+  opts.collect_trace = true;
+  ProfileThresholds no_mb_imb;
+  no_mb_imb.t_imb = 1e30;
+  no_mb_imb.approx = 1e30;
+  auto plan = tune_host(m, opts, no_mb_imb);
+  EXPECT_NE(plan.trace, nullptr);
+  EXPECT_TRUE(plan.config.allows_symmetric()) << plan.config.describe();
+  return plan;
+}
+
+TEST(HostTune, SymmetricRiderAppliesOnSpdStencil) {
+  const CsrMatrix m = gen::stencil27(48, 48, 48);
+  const auto plan = traced_tune(m);
+  ASSERT_NE(plan.trace, nullptr);
+  EXPECT_EQ(plan.trace->value_or_zero("symmetric_tried"), 1.0);
+  EXPECT_EQ(plan.trace->value_or_zero("symmetric_applied"), 1.0);
+  EXPECT_GT(plan.trace->value_or_zero("symmetric_mean_seconds"), 0.0);
+  // Whether the symmetric plan is kept depends on this host's timings; the
+  // returned config must say which plan was measured, and prepare to it.
+  const bool kept = plan.trace->value_or_zero("symmetric_kept") == 1.0;
+  EXPECT_EQ(plan.config.symmetric, kept);
+  EXPECT_EQ(plan.trace->config, plan.config.describe());
+  const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = plan.config,
+                                                               .threads = 2}};
+  EXPECT_EQ(prepared.symmetric_applied(), plan.config.symmetric);
+}
+
+TEST(HostTune, SymmetricRiderRejectsAsymmetricSquareMatrix) {
+  const auto plan = traced_tune(gen::powerlaw(20000, 1.7, 500, 808));
+  ASSERT_NE(plan.trace, nullptr);
+  EXPECT_EQ(plan.trace->value_or_zero("symmetric_tried"), 1.0);
+  EXPECT_EQ(plan.trace->value_or_zero("symmetric_applied"), 0.0);
+  EXPECT_EQ(plan.trace->value_or_zero("symmetric_kept"), 0.0);
+  EXPECT_FALSE(plan.config.symmetric);
+}
+
+TEST(HostTune, SymmetricRiderSkipsRectangularMatrix) {
+  const CsrMatrix m = gen::banded(4000, 40, 6, 809).slice_rows(0, 3000);
+  ASSERT_NE(m.nrows(), m.ncols());
+  const auto plan = traced_tune(m);
+  ASSERT_NE(plan.trace, nullptr);
+  EXPECT_EQ(plan.trace->value_or_zero("symmetric_tried"), 0.0);
+  EXPECT_EQ(plan.trace->value_or_zero("symmetric_applied"), 0.0);
+  EXPECT_FALSE(plan.config.symmetric);
 }
 
 }  // namespace
