@@ -12,7 +12,6 @@
 // regression bound CI cares about: the k = 4 blocked path must reach at
 // least 1.5x the GFLOP/s of 4 sequential SpMVs. `--out FILE` overrides the
 // JSON path.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -30,18 +29,6 @@
 namespace {
 
 using namespace sparta;
-
-// Best-of-`reps` wall time of `fn` (seconds). `sink` keeps the work observable.
-template <typename Fn>
-double time_best(int reps, double& sink, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const Timer t;
-    sink += fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 struct KResult {
   int k = 1;
@@ -118,23 +105,24 @@ int main(int argc, char** argv) {
       const kernels::ConstDenseBlockView xb{xs.data(), m.ncols(), k, k};
       const kernels::DenseBlockView yb{ys.data(), m.nrows(), k, k};
 
-      spmv.run(xb, yb);  // warm-up (and first-touch of ys)
-      const double t_spmm = time_best(reps, sink, [&] {
+      const auto spmm = [&] {
         spmv.run(xb, yb);
-        return ys[0];
-      });
+        sink += ys[0];
+      };
+      // Best repetition; the warm-up call first-touches ys.
+      const double t_spmm = time_repetitions(spmm, reps).best;
       // The fair sequential baseline: k width-1 passes over contiguous
       // per-column vectors (what a caller without the block path would run).
       aligned_vector<value_t> xc(cols);
       aligned_vector<value_t> yc(rows);
       for (std::size_t i = 0; i < cols; ++i) xc[i] = xs[i * kk];
-      spmv.run(std::span<const value_t>{xc}, std::span<value_t>{yc});  // warm-up
-      const double t_seq = time_best(reps, sink, [&] {
+      const auto seq = [&] {
         for (int c = 0; c < k; ++c) {
           spmv.run(std::span<const value_t>{xc}, std::span<value_t>{yc});
         }
-        return yc[0];
-      });
+        sink += yc[0];
+      };
+      const double t_seq = time_repetitions(seq, reps).best;
 
       const double flops = 2.0 * static_cast<double>(m.nnz()) * static_cast<double>(k);
       KResult r;

@@ -17,7 +17,6 @@
 // symmetrized power-law matrix, whose random mirror writes make the
 // symmetric plan slower than general CSR: the case tune_host's keep rule
 // drops. `--out FILE` overrides the JSON path.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -34,17 +33,6 @@
 namespace {
 
 using namespace sparta;
-
-template <typename Fn>
-double time_best(int reps, double& sink, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const Timer t;
-    sink += fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 struct Result {
   std::string name;
@@ -135,16 +123,16 @@ int main(int argc, char** argv) {
         (sym.bytes_per_run(1) - per_column) / (general.bytes_per_run(1) - per_column);
     r.modeled_ratio = sim::sym_matrix_stream_ratio(m);
 
-    general.run(std::span<const value_t>{x}, std::span<value_t>{y});  // warm-up
-    const double t_general = time_best(reps, sink, [&] {
-      general.run(std::span<const value_t>{x}, std::span<value_t>{y});
-      return y[0];
-    });
-    sym.run(std::span<const value_t>{x}, std::span<value_t>{y});  // warm-up
-    const double t_sym = time_best(reps, sink, [&] {
-      sym.run(std::span<const value_t>{x}, std::span<value_t>{y});
-      return y[0];
-    });
+    // Best repetition of each plan.
+    const auto timed = [&](const kernels::PreparedSpmv& plan) {
+      const auto product = [&] {
+        plan.run(std::span<const value_t>{x}, std::span<value_t>{y});
+        sink += y[0];
+      };
+      return time_repetitions(product, reps).best;
+    };
+    const double t_general = timed(general);
+    const double t_sym = timed(sym);
 
     const double flops = 2.0 * static_cast<double>(m.nnz());
     r.gflops_general = flops / t_general * 1e-9;

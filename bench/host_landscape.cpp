@@ -26,13 +26,7 @@ double measure_gflops(const CsrMatrix& m, const sim::KernelConfig& cfg, int thre
   const kernels::PreparedSpmv spmv{m, kernels::SpmvOptions{.config = cfg, .threads = threads}};
   aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()), 1.0);
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  spmv.run(x, y);  // warm-up
-  double best = 1e30;
-  for (int i = 0; i < iterations; ++i) {
-    Timer t;
-    spmv.run(x, y);
-    best = std::min(best, t.seconds());
-  }
+  const double best = time_repetitions([&] { spmv.run(x, y); }, iterations).best;
   return 2.0 * static_cast<double>(m.nnz()) / best * 1e-9;
 }
 
@@ -45,8 +39,9 @@ int main(int argc, char** argv) {
 
   const int threads = std::max(1, omp_get_max_threads());
   const int iterations = 8;
-  std::cout << "host: " << threads << " thread(s); best-of-" << iterations
-            << " warm runs per cell\n\n";
+  std::cout << "host: " << threads << " thread(s); best of at most " << iterations
+            << " warm runs per cell (fewer once they sum to " << kKernelBudgetSeconds
+            << " s)\n\n";
 
   const std::vector<std::string> picks{"consph", "poisson3Db", "webbase-1M", "rajat30",
                                        "human_gene1"};

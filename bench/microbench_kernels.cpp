@@ -12,8 +12,6 @@
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_sell.hpp"
-#include "sparse/sell.hpp"
 #include "tuner/optimizations.hpp"
 
 namespace {
@@ -95,21 +93,6 @@ void BM_AutoSched_Skewed(benchmark::State& state) {
   run_config(state, skewed_matrix(), config_for({Optimization::kAutoSched}));
 }
 BENCHMARK(BM_AutoSched_Skewed);
-
-void BM_Sell_Banded(benchmark::State& state) {
-  const CsrMatrix& m = banded_matrix();
-  const auto sell = SellMatrix::from_csr(m, 8, 256);
-  const auto x = input_vector(m);
-  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  for (auto _ : state) {
-    kernels::spmv_sell(sell, x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * static_cast<double>(m.nnz()) * static_cast<double>(state.iterations()) * 1e-9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Sell_Banded);
 
 // The two bound micro-benchmark kernels (paper SIII-B) on the host.
 void BM_PmlKernel_Scattered(benchmark::State& state) {

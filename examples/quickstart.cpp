@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
 
   // 6. The same prepared kernel multiplies several right-hand sides at once:
   //    run(X, Y) over rows x k operand views reads the matrix stream once
-  //    per k columns (Y = alpha A X + beta Y; prepare with
-  //    SpmvOptions::block_width = k to preplan the register-blocked path).
+  //    per k columns (Y = alpha A X + beta Y; any k runs in register-blocked
+  //    chunks of 8, 4, 2 and 1 columns).
   constexpr index_t kWidth = 4;
   aligned_vector<value_t> xs(static_cast<std::size_t>(matrix.ncols()) * kWidth, 1.0);
   aligned_vector<value_t> ys(static_cast<std::size_t>(matrix.nrows()) * kWidth);

@@ -15,6 +15,12 @@
 
 namespace sparta::kernels {
 
+/// Widest register-blocked operand chunk of the host kernels. A product
+/// splits its operand width greedily into chunks of 8, 4, 2 and 1 columns,
+/// and the scratch of the symmetric and long-row plans holds this many
+/// columns per row.
+inline constexpr index_t kWidestChunk = 8;
+
 /// Mutable rows x width dense block, row-major, leading dimension `stride`
 /// (stride >= width; columns [width, stride) of each row are untouched
 /// padding owned by the caller).

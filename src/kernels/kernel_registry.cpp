@@ -41,22 +41,17 @@ struct Prepared {
   NumaArray<std::uint8_t> ft_deltas8;
   NumaArray<std::uint16_t> ft_deltas16;
 
-  /// Scratch columns of the decomposed plan: the largest specialized chunk
-  /// (1/2/4/8) the hinted width decomposes into. That plan runs a product
-  /// in column groups of at most this many columns, so any runtime width
-  /// executes against scratch sized at prepare time.
-  index_t cap = 1;
-
-  // Symmetric storage: the halo schedule is keyed to `parts`, and the halo
-  // windows are sized at prepare time for the widest chunk, so the hot path
-  // never allocates and any width runs in the fewest column groups.
+  // Symmetric storage: the halo schedule is keyed to `parts`. The halo
+  // windows, like the long-row slices below, hold kWidestChunk columns per
+  // row and are allocated at prepare time, so the hot path never allocates
+  // and any width runs in the row kernels' 8/4/2/1 column groups.
   SymView sym_view;
   SymSchedule sym_sched;
   NumaArray<value_t> sym_scratch;
 
   // Long-row decomposition: row k * nparts + p of `slice_view` is part p's
   // even nnz slice of long row k, and its partial sums land in the same row
-  // of `slices` (cap columns per row). Part p owns long rows
+  // of `slices` (kWidestChunk columns per row). Part p owns long rows
   // [long_first[p], long_first[p + 1]).
   std::vector<offset_t> slice_rowptr;
   CsrView slice_view;
@@ -64,18 +59,12 @@ struct Prepared {
   std::vector<std::size_t> long_first;
 
   /// One row-range block runner per specialized chunk width — slot i handles
-  /// width 1 << i (1, 2, 4, 8). This is the k-specialized impl table the
-  /// block_width hint preallocates; every product decomposes its operand
-  /// width into these chunks.
+  /// width 1 << i (1, 2, 4, 8). Every product decomposes its operand width
+  /// into these chunks.
   using BlockRowsFn = void (*)(const Prepared&, RowRange, ConstDenseBlockView,
                                DenseBlockView, value_t, value_t);
   std::array<BlockRowsFn, 4> block_rows{};  // over view (or delta_view)
   std::array<BlockRowsFn, 4> slice_rows{};  // over slice_view
-
-  /// Preplanned greedy chunk schedule for the hinted operand width; products
-  /// whose width matches the hint walk this instead of re-deriving it.
-  index_t hint_width = 1;
-  std::vector<index_t> hint_chunks;
 
   /// Rows of y = alpha A x + beta y fused with the partial w·y.
   double (*local_dot)(const Prepared&, RowRange, std::span<const value_t>, std::span<value_t>,
@@ -92,9 +81,6 @@ using detail_registry::Prepared;
 /// Rows per self-scheduled chunk of the dynamic plan.
 constexpr index_t kDynamicChunkRows = 64;
 
-/// Widest specialized chunk of the k-specialized kernels.
-constexpr index_t kWidestChunk = 8;
-
 /// Largest specialized chunk width (8/4/2/1) not exceeding `rem`.
 index_t pow2_chunk(index_t rem) {
   return rem >= kWidestChunk ? kWidestChunk : rem >= 4 ? 4 : rem >= 2 ? 2 : 1;
@@ -105,36 +91,11 @@ std::size_t chunk_slot(index_t w) {
   return w == 8 ? 3 : w == 4 ? 2 : w == 2 ? 1 : 0;
 }
 
-/// Greedy decomposition of an operand width into specialized chunk widths.
-std::vector<index_t> plan_chunks(index_t width) {
-  // Chunk count is known up front: width / 8 eights plus at most one each
-  // of 4, 2, 1 for the remainder bits — size once, then fill.
-  const index_t rem = width % 8;
-  const auto count = static_cast<std::size_t>(width / 8 + ((rem & 4) != 0 ? 1 : 0) +
-                                              ((rem & 2) != 0 ? 1 : 0) + ((rem & 1) != 0 ? 1 : 0));
-  std::vector<index_t> plan(count);
-  index_t c = 0;
-  for (index_t& w : plan) {
-    w = pow2_chunk(width - c);
-    c += w;
-  }
-  return plan;
-}
-
-/// Rows `r` of Y = alpha A X + beta Y through a k-specialized impl table:
-/// the preplanned chunk schedule when the width matches the preparation
-/// hint, the same greedy decomposition derived on the fly otherwise.
+/// Rows `r` of Y = alpha A X + beta Y through a k-specialized impl table,
+/// the operand width split greedily into 8/4/2/1-column chunks.
 void run_rows_blocked(const Prepared& p, const std::array<Prepared::BlockRowsFn, 4>& table,
                       RowRange r, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
                       value_t beta) {
-  if (x.width == p.hint_width) {
-    index_t c = 0;
-    for (const index_t w : p.hint_chunks) {
-      table[chunk_slot(w)](p, r, x.columns(c, w), y.columns(c, w), alpha, beta);
-      c += w;
-    }
-    return;
-  }
   for (index_t c = 0; c < x.width;) {
     const index_t w = pow2_chunk(x.width - c);
     table[chunk_slot(w)](p, r, x.columns(c, w), y.columns(c, w), alpha, beta);
@@ -169,10 +130,10 @@ struct CsrBlock {
   };
 };
 
-template <index_t K, bool V>
+template <index_t K>
 void delta_block_rows(const Prepared& p, RowRange r, ConstDenseBlockView x, DenseBlockView y,
                       value_t alpha, value_t beta) {
-  delta_rows_block<K, V>(p.delta_view, x, y, alpha, beta, r);
+  delta_rows_block<K>(p.delta_view, x, y, alpha, beta, r);
 }
 
 template <bool V, bool U, bool P>
@@ -184,11 +145,10 @@ struct LocalCsrDot {
   }
 };
 
-template <bool V>
 double local_delta_dot(const Prepared& p, RowRange r, std::span<const value_t> x,
                        std::span<value_t> y, std::span<const value_t> w, value_t alpha,
                        value_t beta) {
-  return delta_rows_local_dot<V>(p.delta_view, x, y, w, r, alpha, beta);
+  return delta_rows_local_dot(p.delta_view, x, y, w, r, alpha, beta);
 }
 
 /// Fill the k-specialized impl table for the plain-CSR kernels over `View`.
@@ -200,15 +160,9 @@ std::array<Prepared::BlockRowsFn, 4> csr_block_table(bool vec, bool unroll, bool
           pick<CsrBlock<8, View>::template Fn>(vec, unroll, prefetch)};
 }
 
-/// Fill the k-specialized impl table for the delta-compressed kernels.
-std::array<Prepared::BlockRowsFn, 4> delta_block_table(bool vec) {
-  if (vec) {
-    return {&delta_block_rows<1, true>, &delta_block_rows<2, true>, &delta_block_rows<4, true>,
-            &delta_block_rows<8, true>};
-  }
-  return {&delta_block_rows<1, false>, &delta_block_rows<2, false>,
-          &delta_block_rows<4, false>, &delta_block_rows<8, false>};
-}
+/// The k-specialized impl table of the delta-compressed kernels.
+constexpr std::array<Prepared::BlockRowsFn, 4> kDeltaBlockTable{
+    &delta_block_rows<1>, &delta_block_rows<2>, &delta_block_rows<4>, &delta_block_rows<8>};
 
 /// Copy `src` ranges into untouched `dst` storage from the threads that own
 /// the corresponding row ranges, placing pages NUMA-locally. `row_of` maps a
@@ -315,7 +269,7 @@ double run_symmetric(Prepared& p, int tid, int nt, const Product& op) {
   const std::size_t np = p.parts.size();
   const index_t width = op.x.width;
   for (index_t c = 0; c < width;) {
-    const index_t g = pow2_chunk(std::min(width - c, sched.cap));
+    const index_t g = pow2_chunk(width - c);
     const DenseBlockView y = op.y.columns(c, g);
     if (c > 0) {
 #pragma omp barrier
@@ -346,9 +300,10 @@ double run_decomposed(Prepared& p, int tid, int nt, const Product& op) {
   const bool plain = alpha == 1.0 && beta == 0.0;
   double dot = 0.0;
   for (index_t c = 0; c < width;) {
-    const index_t g = pow2_chunk(std::min(width - c, p.cap));
+    const index_t g = pow2_chunk(width - c);
     const Product group{op.x.columns(c, g), op.y.columns(c, g), alpha, beta, op.w};
-    const DenseBlockView partial{p.slices.data(), static_cast<index_t>(nlong * np), g, p.cap};
+    const DenseBlockView partial{p.slices.data(), static_cast<index_t>(nlong * np), g,
+                                 kWidestChunk};
     if (c > 0) {
 #pragma omp barrier
     }
@@ -401,9 +356,6 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   auto prepared = std::make_shared<Prepared>();
   Prepared& p = *prepared;
   p.view = make_view(a);
-  p.hint_width = static_cast<index_t>(block_width_);
-  p.hint_chunks = plan_chunks(p.hint_width);
-  p.cap = pow2_chunk(p.hint_width);
 
   bool use_delta = cfg.delta;
   if (use_delta) {
@@ -456,7 +408,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
 
   if (symmetric_applied_) {
     p.sym_view = make_view(*p.sym);
-    p.sym_sched = plan_sym_schedule(p.sym_view, p.parts, kWidestChunk);
+    p.sym_sched = plan_sym_schedule(p.sym_view, p.parts);
     // Left untouched: every product's phase 1 zeroes a halo window from
     // the thread that owns it before anything reads it, and a width-k pass
     // touches only the first k / kWidestChunk of the array.
@@ -481,7 +433,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
     p.slice_rowptr[nlong * np] = lrp[nlong];
     p.slice_view = CsrView{p.slice_rowptr, d.long_colind(), d.long_values(),
                            static_cast<index_t>(nlong * np)};
-    p.slices = NumaArray<value_t>(nlong * np * static_cast<std::size_t>(p.cap));
+    p.slices = NumaArray<value_t>(nlong * np * static_cast<std::size_t>(kWidestChunk));
     p.long_first.resize(np + 1);
     for (std::size_t q = 0; q < np; ++q) {
       p.long_first[q] = static_cast<std::size_t>(
@@ -537,8 +489,8 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   // The k-specialized impl tables: delta when applied, otherwise the
   // plain-CSR row kernels with the config's scalar transformations.
   if (use_delta) {
-    p.block_rows = delta_block_table(cfg.vectorized);
-    p.local_dot = cfg.vectorized ? &local_delta_dot<true> : &local_delta_dot<false>;
+    p.block_rows = kDeltaBlockTable;
+    p.local_dot = &local_delta_dot;
   } else {
     p.block_rows = csr_block_table<&Prepared::view>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
     p.local_dot = pick<LocalCsrDot>(cfg.vectorized, cfg.unrolled, cfg.prefetch);

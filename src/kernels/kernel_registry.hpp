@@ -30,10 +30,10 @@ struct SpmvOptions {
   /// NUMA first-touch copies of the streaming arrays (see class comment).
   bool first_touch = false;
   /// Expected operand width k of run() calls (Y = alpha A X + beta Y with
-  /// X/Y being k columns wide). Preparation preplans the register-blocked
-  /// chunk schedule for this width (the k-specialized impl table) and sizes
-  /// the symmetric and long-row scratch for it. Any width still executes —
-  /// non-hinted widths take the generic greedy chunking. Must be >= 1.
+  /// X/Y being k columns wide). It only sets the default width of
+  /// bytes_per_run() and is reported by block_width(): every width runs the
+  /// same greedy 8/4/2/1 chunks against scratch sized for 8 columns.
+  /// Must be >= 1.
   int block_width = 1;
 };
 
@@ -121,7 +121,7 @@ class PreparedSpmv {
   /// back to the general kernels, like an incompressible delta config).
   [[nodiscard]] bool symmetric_applied() const { return symmetric_applied_; }
   [[nodiscard]] bool first_touch_applied() const { return first_touch_applied_; }
-  /// The operand-width hint preparation planned for (>= 1).
+  /// The operand-width hint the plan was prepared with (>= 1).
   [[nodiscard]] int block_width() const { return block_width_; }
   /// Estimated bytes streamed from memory by one product of the given
   /// operand width: the matrix arrays in the prepared format once (the SpMM

@@ -1,12 +1,16 @@
 // Host SpMV/SpMM kernel templates.
 //
-// One templated inner loop per storage format, parameterized on the three
-// orthogonal code transformations of the optimization pool:
+// One templated inner loop per storage format. The plain-CSR loop is
+// parameterized on the three orthogonal code transformations of the
+// optimization pool:
 //   Vectorize — #pragma omp simd on the inner loop (MB/CMP classes)
 //   Unroll    — 4-way manual unrolling (CMP class)
 //   Prefetch  — software prefetch of x[colind[j + dist]] into L1 (ML class)
-// The registry (kernel_registry.hpp) instantiates the eight combinations per
-// format and dispatches a KernelConfig to the right one. These kernels are
+// The registry (kernel_registry.hpp) instantiates the eight combinations and
+// dispatches a KernelConfig to the right one. The delta-compressed loop has
+// one form: its column decode is a serial dependence, so a vectorized delta
+// config runs the same code (KernelConfig::vectorized still feeds the
+// simulator's cost model). These kernels are
 // the *real* implementations: they run multithreaded on the host and every
 // one of them is validated against spmv_reference in the test suite. The
 // modeled platforms use their cost descriptors instead (sim/kernel_model).
@@ -16,7 +20,7 @@
 // (rowptr/colind/values) is read ONCE per k operand columns — the SpMM
 // amortization of Saule/Kaya/Catalyurek (arXiv:1302.1078) — with the column
 // count register-blocked at compile time for k in {1, 2, 4, 8}; the registry
-// decomposes other widths greedily into those chunks. The k = 1
+// splits every width greedily into those chunks. The k = 1
 // instantiation runs the scalar row bodies (`detail::csr_row` /
 // `detail::delta_row`) once per row, and alpha = 1, beta = 0 takes a branch
 // to the direct store, so a contiguous width-1 product is bit-identical to
@@ -149,7 +153,7 @@ inline value_t csr_row(const index_t* SPARTA_RESTRICT colind,
 /// only known after decode), mirroring the paper's pool where MB and ML
 /// optimizations target different matrices. The first element carries the
 /// absolute column and is peeled so the decode loop is branch-free.
-template <class Width, bool Vectorize>
+template <class Width>
 inline value_t delta_row(index_t first_col, const Width* SPARTA_RESTRICT deltas,
                          const value_t* SPARTA_RESTRICT values,
                          const value_t* SPARTA_RESTRICT x, offset_t begin, offset_t end) {
@@ -279,7 +283,7 @@ inline void csr_rows_block(const CsrView& a, ConstDenseBlockView x, DenseBlockVi
 
 /// Delta-compressed rows [r.begin, r.end) of Y = alpha A X + beta Y for a
 /// compile-time column count K (see csr_rows_block for the K = 1 rule).
-template <index_t K, bool Vectorize>
+template <index_t K>
 inline void delta_rows_block(const DeltaView& a, ConstDenseBlockView x, DenseBlockView y,
                              value_t alpha, value_t beta, RowRange r) {
   const bool plain = alpha == 1.0 && beta == 0.0;
@@ -293,10 +297,9 @@ inline void delta_rows_block(const DeltaView& a, ConstDenseBlockView x, DenseBlo
         const auto e = a.rowptr[k + 1];
         const index_t fc = a.first_col[k];
         const value_t acc =
-            narrow ? detail::delta_row<std::uint8_t, Vectorize>(fc, a.deltas8.data(), vals,
-                                                                x.data, b, e)
-                   : detail::delta_row<std::uint16_t, Vectorize>(fc, a.deltas16.data(), vals,
-                                                                 x.data, b, e);
+            narrow ? detail::delta_row<std::uint8_t>(fc, a.deltas8.data(), vals, x.data, b, e)
+                   : detail::delta_row<std::uint16_t>(fc, a.deltas16.data(), vals, x.data, b,
+                                                      e);
         value_t& yi = *y.row(i);
         yi = plain ? acc : alpha * acc + beta * yi;
       }
@@ -344,7 +347,6 @@ inline double csr_rows_local_dot(const CsrView& a, std::span<const value_t> x,
 
 /// Delta-compressed rows fused with the partial reduction w·y (see
 /// csr_rows_local_dot).
-template <bool Vectorize>
 inline double delta_rows_local_dot(const DeltaView& a, std::span<const value_t> x,
                                    std::span<value_t> y, std::span<const value_t> w, RowRange r,
                                    value_t alpha = 1.0, value_t beta = 0.0) {
@@ -358,10 +360,8 @@ inline double delta_rows_local_dot(const DeltaView& a, std::span<const value_t> 
     const index_t fc = a.first_col[k];
     const value_t ai =
         a.width == DeltaWidth::k8
-            ? detail::delta_row<std::uint8_t, Vectorize>(fc, a.deltas8.data(), vals, x.data(),
-                                                         b, e)
-            : detail::delta_row<std::uint16_t, Vectorize>(fc, a.deltas16.data(), vals,
-                                                          x.data(), b, e);
+            ? detail::delta_row<std::uint8_t>(fc, a.deltas8.data(), vals, x.data(), b, e)
+            : detail::delta_row<std::uint16_t>(fc, a.deltas16.data(), vals, x.data(), b, e);
     const value_t yi = plain ? ai : alpha * ai + beta * y[k];
     y[k] = yi;
     acc += w[k] * yi;

@@ -1,7 +1,6 @@
 #include "kernels/spmv_sym.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/types.hpp"
 
@@ -44,12 +43,9 @@ void sym_halo_add(const SymSchedule& sched, const value_t* SPARTA_RESTRICT scrat
   }
 }
 
-SymSchedule plan_sym_schedule(const SymView& a, std::span<const RowRange> parts,
-                              index_t cap) {
-  if (cap < 1) throw std::invalid_argument{"plan_sym_schedule: cap must be >= 1"};
+SymSchedule plan_sym_schedule(const SymView& a, std::span<const RowRange> parts) {
   SymSchedule sched;
   sched.parts.assign(parts.begin(), parts.end());
-  sched.cap = cap;
   sched.base.resize(parts.size());
   sched.offset.resize(parts.size());
   std::size_t total = 0;
@@ -68,7 +64,7 @@ SymSchedule plan_sym_schedule(const SymView& a, std::span<const RowRange> parts,
     sched.offset[p] = total;
     total += static_cast<std::size_t>(parts[p].begin - base);
   }
-  sched.scratch_elems = total * static_cast<std::size_t>(cap);
+  sched.scratch_elems = total * static_cast<std::size_t>(kWidestChunk);
   return sched;
 }
 

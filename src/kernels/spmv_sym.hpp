@@ -31,11 +31,11 @@
 // store never reads Y.
 //
 // The halo windows are sized by plan_sym_schedule and allocated once at
-// prepare time (kernel_registry) with room for `cap` columns per row; phase
-// 1 zeroes its own window, so the owning thread first-touches it. A K-column
-// pass packs every window at K columns per row into the first
-// (halo rows) * K elements, so one allocation serves every chunk width up
-// to cap and a K-column pass touches only K / cap of it. Like the other
+// prepare time (kernel_registry) with room for kWidestChunk columns per row;
+// phase 1 zeroes its own window, so the owning thread first-touches it. A
+// K-column pass packs every window at K columns per row into the first
+// (halo rows) * K elements, so one allocation serves every chunk width and
+// a K-column pass touches only K / kWidestChunk of it. Like the other
 // formats, these kernels have no pragmas beyond simd: the registry's
 // symmetric plan (PreparedSpmv::run_team) places the barrier between the
 // two phases.
@@ -76,20 +76,20 @@ struct SymSchedule {
   /// Halo rows of the partitions before p; in a K-column pass, halo row i
   /// of partition p lives at element (offset[p] + i - base[p]) * K.
   std::vector<std::size_t> offset;
-  /// Widest operand chunk the scratch serves.
-  index_t cap = 1;
-  /// Total scratch elements: sum over p of (parts[p].begin - base[p]) * cap.
+  /// Total scratch elements: sum over p of
+  /// (parts[p].begin - base[p]) * kWidestChunk.
   std::size_t scratch_elems = 0;
 };
 
 /// Build the halo schedule for `parts`, with scratch for passes of up to
-/// `cap` columns.
+/// kWidestChunk columns.
 /// `parts` must be an ordered exact cover of [0, a.nrows).
-SymSchedule plan_sym_schedule(const SymView& a, std::span<const RowRange> parts, index_t cap);
+SymSchedule plan_sym_schedule(const SymView& a, std::span<const RowRange> parts);
 
 /// Phase 1: partition `part`'s rows of Y = alpha A X + beta Y, columns
 /// [0, K): direct stores and own-row mirrors into Y, the other mirrors into
-/// the partition's halo window. x and y must be K columns wide, K <= cap.
+/// the partition's halo window. x and y must be K columns wide,
+/// K <= kWidestChunk.
 template <index_t K>
 inline void sym_rows_block(const SymView& a, const SymSchedule& sched,
                            value_t* SPARTA_RESTRICT scratch, std::size_t part,
@@ -153,7 +153,7 @@ inline void sym_rows_block(const SymView& a, const SymSchedule& sched,
 }
 
 /// Runtime-width dispatch to the specialized phase-1 instantiation
-/// (x.width must be one of 1/2/4/8 and <= sched.cap).
+/// (x.width must be one of 1/2/4/8).
 void sym_rows_any(const SymView& a, const SymSchedule& sched, value_t* SPARTA_RESTRICT scratch,
                   std::size_t part, ConstDenseBlockView x, DenseBlockView y, value_t alpha,
                   value_t beta);

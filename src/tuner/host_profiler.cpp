@@ -26,40 +26,6 @@ double gflops(const CsrMatrix& m, double seconds) {
   return seconds > 0.0 ? 2.0 * static_cast<double>(m.nnz()) / seconds * 1e-9 : 0.0;
 }
 
-/// Summed-time budget of each timed kernel: repetitions stop once their
-/// total reaches it, as in cusplibrary's time_spmv. With the default 16
-/// iterations it binds only when one SpMV takes longer than ~15.6 ms.
-constexpr double kKernelBudgetSeconds = 0.25;
-/// Repetitions each timed kernel runs at least (capped by `iterations`).
-constexpr int kMinRepetitions = 3;
-
-struct Repetitions {
-  double best = 1e30;  // fastest repetition, seconds
-  double mean = 0.0;   // mean repetition, seconds
-  int count = 0;
-};
-
-/// One warm-up call, then timed calls until their summed wall time reaches
-/// kKernelBudgetSeconds: never fewer than min(kMinRepetitions, max_reps),
-/// never more than max_reps (>= 1).
-template <class Fn>
-Repetitions time_repetitions(Fn&& fn, int max_reps) {
-  fn();
-  const int min_reps = std::min(kMinRepetitions, max_reps);
-  Repetitions r;
-  double total = 0.0;
-  while (r.count < max_reps && (r.count < min_reps || total < kKernelBudgetSeconds)) {
-    const Timer t;
-    fn();
-    const double s = t.seconds();
-    r.best = std::min(r.best, s);
-    total += s;
-    ++r.count;
-  }
-  r.mean = total / r.count;
-  return r;
-}
-
 /// Timed repetitions of each bound micro-benchmark, for the trace.
 struct BoundRepetitions {
   int csr = 0;
@@ -210,22 +176,8 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
                     : 0.0;
 
   if (options.collect_trace) {
-    auto t = std::make_shared<obs::TuneTrace>();
-    t->matrix = options.name;
-    t->strategy = plan.strategy;
-    t->nrows = m.nrows();
-    t->nnz = m.nnz();
-    t->features = named_features(features);
-    t->bounds = named_bounds(bounds);
-    t->classes = named_classes(plan.classes);
-    t->class_mask = plan.classes.mask();
-    t->optimizations.reserve(plan.optimizations.size());
-    for (Optimization o : plan.optimizations) t->optimizations.push_back(to_string(o));
-    t->config = plan.config.describe();
-    t->gflops = plan.gflops;
-    t->t_spmv_seconds = plan.t_spmv_seconds;
-    t->t_pre_seconds = plan.t_pre_seconds;
-    t->phases = std::move(phases);
+    auto t = std::make_shared<obs::TuneTrace>(plan_trace(
+        plan, options.name, m.nrows(), m.nnz(), features, bounds, std::move(phases)));
     t->extra.emplace_back("prep_seconds", prepared->prep_seconds());
     t->extra.emplace_back("reps_csr", reps.csr);
     t->extra.emplace_back("reps_ml", reps.ml);

@@ -44,6 +44,28 @@ std::vector<std::string> named_classes(BottleneckSet s) {
   return out;
 }
 
+obs::TuneTrace plan_trace(const OptimizationPlan& plan, std::string matrix, index_t nrows,
+                          offset_t nnz, const FeatureVector& features, const PerfBounds& bounds,
+                          std::vector<obs::PhaseCost> phases) {
+  obs::TuneTrace t;
+  t.matrix = std::move(matrix);
+  t.strategy = plan.strategy;
+  t.nrows = nrows;
+  t.nnz = nnz;
+  t.features = named_features(features);
+  t.bounds = named_bounds(bounds);
+  t.classes = named_classes(plan.classes);
+  t.class_mask = plan.classes.mask();
+  t.optimizations.reserve(plan.optimizations.size());
+  for (Optimization o : plan.optimizations) t.optimizations.push_back(to_string(o));
+  t.config = plan.config.describe();
+  t.gflops = plan.gflops;
+  t.t_spmv_seconds = plan.t_spmv_seconds;
+  t.t_pre_seconds = plan.t_pre_seconds;
+  t.phases = std::move(phases);
+  return t;
+}
+
 std::string to_string(TunePolicy policy) {
   switch (policy) {
     case TunePolicy::kProfile:
@@ -290,24 +312,11 @@ OptimizationPlan Autotuner::plan(const Evaluation& e, const TuneOptions& opts) c
   reg.counter("tuner.plan.calls").add();
   reg.counter("tuner.plan." + p.strategy).add();
   if (opts.collect_trace) {
-    auto t = std::make_shared<obs::TuneTrace>();
-    t->matrix = opts.name.empty() ? e.name : opts.name;
-    t->strategy = p.strategy;
-    t->nrows = e.nrows;
-    t->nnz = e.nnz;
-    t->features = named_features(e.features);
-    t->bounds = named_bounds(e.bounds);
-    t->classes = named_classes(p.classes);
-    t->class_mask = p.classes.mask();
-    t->optimizations.reserve(p.optimizations.size());
-    for (Optimization o : p.optimizations) t->optimizations.push_back(to_string(o));
-    t->config = p.config.describe();
-    t->gflops = p.gflops;
-    t->t_spmv_seconds = p.t_spmv_seconds;
-    t->t_pre_seconds = p.t_pre_seconds;
-    t->phases = e.phases;
-    t->phases.insert(t->phases.end(), plan_phases.begin(), plan_phases.end());
-    p.trace = std::move(t);
+    std::vector<obs::PhaseCost> phases = e.phases;
+    phases.insert(phases.end(), plan_phases.begin(), plan_phases.end());
+    p.trace = std::make_shared<const obs::TuneTrace>(plan_trace(
+        p, opts.name.empty() ? e.name : opts.name, e.nrows, e.nnz, e.features, e.bounds,
+        std::move(phases)));
   }
   // Decision-consistency contract: the composed config must match the
   // optimization list, and the timing-model outputs must be sane.

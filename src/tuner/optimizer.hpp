@@ -132,6 +132,11 @@ std::string to_string(TunePolicy policy);
 std::vector<obs::NamedValue> named_features(const FeatureVector& fv);
 std::vector<obs::NamedValue> named_bounds(const PerfBounds& b);
 std::vector<std::string> named_classes(BottleneckSet s);
+/// The trace of `plan` for a matrix of the given shape: every field but
+/// `extra`, which each tuning path fills with its own values.
+obs::TuneTrace plan_trace(const OptimizationPlan& plan, std::string matrix, index_t nrows,
+                          offset_t nnz, const FeatureVector& features, const PerfBounds& bounds,
+                          std::vector<obs::PhaseCost> phases);
 
 /// Everything that parameterizes one tune()/plan() call.
 struct TuneOptions {

@@ -1,11 +1,11 @@
 // Property-based differential harness: several hundred PRNG-seeded matrices
 // drawn from the generator families behind gen::suite, each pushed through
 // every plan the registry can prepare — plain/vectorized/delta/dynamic/
-// decomposed CSR and symmetric storage via PreparedSpmv — plus SELL-C-sigma,
-// at operand widths 1/2/4/8, and compared against a naive COO
-// reference evaluated in triplet order (a computation path none of the
-// kernels share). A second sweep plants rows above the long-row floor so
-// the decomposed plan's long part runs.
+// decomposed CSR and symmetric storage via PreparedSpmv — at operand
+// widths 1/2/4/8, and compared against a naive COO reference evaluated in
+// triplet order (a computation path none of the kernels share). A second
+// sweep plants rows above the long-row floor so the decomposed plan's long
+// part runs.
 //
 // Tolerance note: the reference accumulates y[i] in coordinate order with a
 // plain double; the kernels reassociate (register-blocked lanes, chunked
@@ -26,10 +26,8 @@
 #include "common/prng.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "kernels/spmv_sell.hpp"
 #include "sim/kernel_model.hpp"
 #include "sparse/decomposed_csr.hpp"
-#include "sparse/sell.hpp"
 
 namespace sparta {
 namespace {
@@ -160,30 +158,6 @@ TEST_P(Differential, AllFormatsAllWidthsAgreeWithCooReference) {
     sim::KernelConfig dec;
     dec.decomposed = true;
     run_prepared_case(m, dec, seed, "decomposed");
-
-    const auto rows = static_cast<std::size_t>(m.nrows());
-    const auto cols = static_cast<std::size_t>(m.ncols());
-    const auto x = random_vector(cols, seed ^ 0xabcdef);
-    const auto want = coo_reference(m, x);
-
-    // SELL-C-sigma: vector kernel plus the block kernel at every width.
-    const SellMatrix sell = SellMatrix::from_csr(m, 8, 64);
-    aligned_vector<value_t> y_sell(rows, -7.0);
-    kernels::spmv_sell(sell, x, y_sell);
-    expect_close(y_sell, want, seed, "sell");
-    for (const int k : {2, 4, 8}) {
-      const auto kk = static_cast<std::size_t>(k);
-      const auto xs = random_vector(cols * kk, seed ^ (0x5e11u + static_cast<std::uint64_t>(k)));
-      aligned_vector<value_t> ys(rows * kk, -7.0);
-      kernels::spmm_sell(sell, kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
-                         kernels::DenseBlockView{ys.data(), m.nrows(), k, k});
-      for (std::size_t c = 0; c < kk; ++c) {
-        aligned_vector<value_t> xc(cols), yc(rows);
-        for (std::size_t r = 0; r < cols; ++r) xc[r] = xs[r * kk + c];
-        for (std::size_t r = 0; r < rows; ++r) yc[r] = ys[r * kk + c];
-        expect_close(yc, coo_reference(m, xc), seed, "sell k" + std::to_string(k));
-      }
-    }
 
     // Symmetric storage over the symmetrized twin, widths 1/2/4/8.
     sim::KernelConfig sym;

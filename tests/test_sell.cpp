@@ -1,10 +1,9 @@
 // Tests for SELL-C-sigma: layout invariants, round-trips, padding behavior,
-// the host kernel against the reference, and the simulator path.
+// the reference kernel, and the simulator path.
 #include <gtest/gtest.h>
 
 #include "common/prng.hpp"
 #include "gen/generators.hpp"
-#include "kernels/spmv_sell.hpp"
 #include "sim/sell_sim.hpp"
 #include "sparse/sell.hpp"
 #include "vendor/inspector_executor.hpp"
@@ -109,47 +108,6 @@ TEST(Sell, ReferenceKernelMatchesCsrReference) {
   spmv_sell_reference(s, x, got);
   for (std::size_t i = 0; i < want.size(); ++i) EXPECT_NEAR(got[i], want[i], 1e-12);
 }
-
-struct SellKernelCase {
-  const char* name;
-  CsrMatrix (*make)();
-  index_t chunk;
-  index_t sigma;
-};
-
-class SellKernel : public ::testing::TestWithParam<SellKernelCase> {};
-
-TEST_P(SellKernel, HostKernelMatchesReference) {
-  const CsrMatrix m = GetParam().make();
-  const auto s = SellMatrix::from_csr(m, GetParam().chunk, GetParam().sigma);
-  const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 1012);
-  aligned_vector<value_t> want(static_cast<std::size_t>(m.nrows()));
-  aligned_vector<value_t> got(static_cast<std::size_t>(m.nrows()), -5.0);
-  spmv_reference(m, x, want);
-  kernels::spmv_sell(s, x, got);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_NEAR(got[i], want[i], 1e-10) << "row " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SellKernel,
-    ::testing::Values(
-        SellKernelCase{"banded_c8", [] { return gen::banded(1200, 60, 9, 1013); }, 8, 128},
-        SellKernelCase{"powerlaw_c4", [] { return gen::powerlaw(1500, 1.7, 200, 1014); }, 4, 64},
-        SellKernelCase{"circuit_c8", [] { return gen::circuit_like(900, 3, 3, 700, 1015); }, 8,
-                       900},
-        SellKernelCase{"diagonal_c16", [] { return gen::diagonal(500); }, 16, 32},
-        SellKernelCase{"stencil_c8", [] { return gen::stencil5(30, 30); }, 8, 8},
-        SellKernelCase{"empty_rows_c4",
-                       [] {
-                         CooMatrix coo{64, 64};
-                         coo.add(0, 5, 2.0);
-                         coo.add(63, 0, -1.0);
-                         return CsrMatrix::from_coo(coo);
-                       },
-                       4, 16}),
-    [](const auto& info) { return std::string{info.param.name}; });
 
 TEST(SellSim, ProducesPositiveRates) {
   const CsrMatrix m = gen::banded(20000, 300, 9, 1016);

@@ -4,9 +4,10 @@
 // wider operands must agree with k independent SpMVs to reduction rounding,
 // and the alpha/beta generalization must honor its identities. Also covers
 // the block_width preparation hint, operand shape checks, run_team inside a
-// caller's region, the engine's spmm, and the SELL block kernel.
+// caller's region, and the engine's spmm.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 
 #include "common/prng.hpp"
@@ -14,9 +15,8 @@
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "kernels/spmv_kernels.hpp"
-#include "kernels/spmv_sell.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/sell.hpp"
+#include "sparse/decomposed_csr.hpp"
 #include "tuner/optimizations.hpp"
 
 namespace sparta {
@@ -252,7 +252,7 @@ TEST(Spmm, AlphaBetaIdentities) {
 
 // --- block_width hint and operand validation -------------------------------
 
-TEST(Spmm, BlockWidthHintIsPlannedButNotBinding) {
+TEST(Spmm, BlockWidthHintIsNotBinding) {
   const CsrMatrix m = test_matrix();
   const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.threads = 4, .block_width = 4}};
   EXPECT_EQ(prepared.block_width(), 4);
@@ -263,7 +263,7 @@ TEST(Spmm, BlockWidthHintIsPlannedButNotBinding) {
   EXPECT_DOUBLE_EQ(prepared.bytes_per_run(), prepared.bytes_per_run(4));
   EXPECT_GT(prepared.bytes_per_run(1), per_column);
 
-  // A non-hinted width still executes (generic greedy chunking).
+  // A non-hinted width executes like any other (greedy 8/4/2/1 chunks).
   const int k = 3;
   const auto rows = static_cast<std::size_t>(m.nrows());
   const auto cols = static_cast<std::size_t>(m.ncols());
@@ -354,6 +354,81 @@ TEST(Spmm, RunTeamInsideRegionMatchesRun) {
   }
 }
 
+// --- Long-row decomposition across widths ----------------------------------
+
+/// Circuit-class matrix whose 4 dense rows of 1500 nonzeros exceed
+/// DecomposedCsrMatrix::kMinLongRow, so a decomposed plan has a long part.
+CsrMatrix long_row_matrix() { return gen::circuit_like(1800, 3, 4, 1500, 305); }
+
+kernels::PreparedSpmv decomposed_plan(const CsrMatrix& m, int block_width) {
+  sim::KernelConfig cfg;
+  cfg.decomposed = true;
+  return kernels::PreparedSpmv{
+      m, kernels::SpmvOptions{.config = cfg, .threads = 4, .block_width = block_width}};
+}
+
+// Products of widths 1, 8, 1 and 13 (8 + 4 + 1) in one region of a plan
+// prepared for single vectors, separated by the barriers that order one
+// product's slice reads against the next one's slice writes. The long-row
+// slices hold 8 columns whatever the width hint, so the k = 8 product is
+// one pass.
+TEST(Spmm, DecomposedRegionRunTeamMatchesRun) {
+  const CsrMatrix m = long_row_matrix();
+  ASSERT_FALSE(DecomposedCsrMatrix::decompose(m).long_rows().empty());
+  const kernels::PreparedSpmv prepared = decomposed_plan(m, 1);
+  const auto rows = static_cast<std::size_t>(m.nrows());
+  const auto cols = static_cast<std::size_t>(m.ncols());
+  const std::array<int, 4> widths{1, 8, 1, 13};
+  const std::array<value_t, 4> betas{0.0, 0.25, 0.25, 0.0};
+  std::array<aligned_vector<value_t>, 4> xs, want, got;
+  for (std::size_t t = 0; t < widths.size(); ++t) {
+    const int k = widths[t];
+    const auto kk = static_cast<std::size_t>(k);
+    xs[t] = random_vector(cols * kk, 470 + t);
+    want[t] = random_vector(rows * kk, 480 + t);
+    got[t] = want[t];
+    prepared.run(kernels::ConstDenseBlockView{xs[t].data(), m.ncols(), k, k},
+                 kernels::DenseBlockView{want[t].data(), m.nrows(), k, k}, 1.5, betas[t]);
+  }
+#pragma omp parallel default(none) num_threads(4) shared(prepared, m, widths, betas, xs, got)
+  {
+    for (std::size_t t = 0; t < widths.size(); ++t) {
+      const int k = widths[t];
+      if (t > 0) {
+#pragma omp barrier
+      }
+      (void)prepared.run_team(kernels::ConstDenseBlockView{xs[t].data(), m.ncols(), k, k},
+                              kernels::DenseBlockView{got[t].data(), m.nrows(), k, k}, 1.5,
+                              betas[t]);
+    }
+  }
+  for (std::size_t t = 0; t < widths.size(); ++t) {
+    SCOPED_TRACE("width " + std::to_string(widths[t]));
+    expect_bitwise(got[t], want[t]);
+  }
+}
+
+// The width hint sizes nothing: plans prepared for 1 and for 8 columns
+// split every width into the same 8/4/2/1 chunks, so Y is byte-identical.
+TEST(Spmm, DecomposedPlanIsIndependentOfTheWidthHint) {
+  const CsrMatrix m = long_row_matrix();
+  const kernels::PreparedSpmv hint1 = decomposed_plan(m, 1);
+  const kernels::PreparedSpmv hint8 = decomposed_plan(m, 8);
+  const auto rows = static_cast<std::size_t>(m.nrows());
+  const auto cols = static_cast<std::size_t>(m.ncols());
+  for (const int k : {3, 8, 13}) {
+    SCOPED_TRACE("width " + std::to_string(k));
+    const auto kk = static_cast<std::size_t>(k);
+    const auto xs = random_vector(cols * kk, 490 + kk);
+    const kernels::ConstDenseBlockView xb{xs.data(), m.ncols(), k, k};
+    aligned_vector<value_t> y1 = random_vector(rows * kk, 500 + kk);
+    aligned_vector<value_t> y8 = y1;
+    hint1.run(xb, kernels::DenseBlockView{y1.data(), m.nrows(), k, k}, 1.5, 0.25);
+    hint8.run(xb, kernels::DenseBlockView{y8.data(), m.nrows(), k, k}, 1.5, 0.25);
+    expect_bitwise(y1, y8);
+  }
+}
+
 TEST(Spmm, EngineSpmmMatchesPreparedRun) {
   const CsrMatrix m = test_matrix();
   const int k = 4;
@@ -372,37 +447,6 @@ TEST(Spmm, EngineSpmmMatchesPreparedRun) {
   aligned_vector<value_t> bad(rows * 2);
   EXPECT_THROW(eng.spmm(xb, kernels::DenseBlockView{bad.data(), m.nrows(), 2, 2}),
                std::invalid_argument);
-}
-
-// --- SELL block kernel -----------------------------------------------------
-
-TEST(Spmm, SellBlockMatchesVectorPath) {
-  const CsrMatrix m = gen::powerlaw(2000, 1.7, 300, 455);
-  const SellMatrix sell = SellMatrix::from_csr(m, 8, 256);
-  const auto rows = static_cast<std::size_t>(m.nrows());
-  const auto cols = static_cast<std::size_t>(m.ncols());
-
-  // Width 1 through the block kernel is the historical spmv_sell bit-for-bit.
-  const auto x = random_vector(cols, 456);
-  aligned_vector<value_t> y_vec(rows, -3.0);
-  aligned_vector<value_t> y_blk(rows, -3.0);
-  kernels::spmv_sell(sell, x, y_vec);
-  kernels::spmm_sell(sell, kernels::ConstDenseBlockView::from_vector(x),
-                     kernels::DenseBlockView::from_vector(y_blk));
-  expect_bitwise(y_blk, y_vec);
-
-  // Wider operands agree with per-column SpMVs.
-  const int k = 4;
-  const auto xs = random_vector(cols * k, 457);
-  aligned_vector<value_t> ys(rows * k, -5.0);
-  kernels::spmm_sell(sell, kernels::ConstDenseBlockView{xs.data(), m.ncols(), k, k},
-                     kernels::DenseBlockView{ys.data(), m.nrows(), k, k});
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto xc = column_of(xs, cols, k, c);
-    aligned_vector<value_t> want(rows);
-    spmv_reference(m, xc, want);
-    expect_near(column_of(ys, rows, k, c), want, 1e-10);
-  }
 }
 
 }  // namespace

@@ -181,16 +181,15 @@ int main(int argc, char** argv) {
     aligned_vector<value_t> x(static_cast<std::size_t>(matrix.ncols()), 1.0);
     aligned_vector<value_t> y(static_cast<std::size_t>(matrix.nrows()));
     aligned_vector<value_t> want(y.size());
-    Timer t;
     constexpr int kIters = 20;
-    for (int i = 0; i < kIters; ++i) spmv.run(x, y);
-    const double sec = t.seconds() / kIters;
+    const Repetitions reps = time_repetitions([&] { spmv.run(x, y); }, kIters);
+    const double sec = reps.mean;
     spmv_reference(matrix, x, want);
     double max_err = 0.0;
     for (std::size_t i = 0; i < y.size(); ++i) max_err = std::max(max_err, std::abs(y[i] - want[i]));
     std::cout << "host run:        "
               << Table::num(2.0 * static_cast<double>(matrix.nnz()) / sec * 1e-9, 2)
-              << " GFLOP/s over " << kIters << " iterations with " << threads
+              << " GFLOP/s over " << reps.count << " iterations with " << threads
               << " threads; max |error| = " << max_err << "\n";
     dump_telemetry();
     return max_err < 1e-9 ? 0 : 1;
