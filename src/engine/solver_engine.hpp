@@ -20,11 +20,10 @@
 //  - matrix streams and solver vectors are first-touch initialized by their
 //    owning threads (see NumaArray and PreparedSpmv's first_touch mode).
 //
-// CG and BiCGSTAB are ported onto the engine; GMRES keeps the legacy path
-// (its Arnoldi recurrence is dense-dominated, not SpMV-dominated). The
-// legacy solvers in src/solvers/ remain the reference implementations the
-// engine is validated against: both paths replicate the same iteration
-// semantics, so results agree to reduction rounding.
+// The engine is the one implementation of CG and BiCGSTAB. Its tests check
+// it against serial textbook iterations with the same breakdown tests,
+// early exits and residual bookkeeping (tests/reference_solvers.hpp):
+// results agree to reduction-order rounding.
 #pragma once
 
 #include <memory>
@@ -43,7 +42,7 @@ struct EngineOptions {
   int threads = 0;
   /// First-touch the matrix streams and solver vectors NUMA-locally.
   bool first_touch = true;
-  /// Jacobi (diagonal) preconditioning — CG only, mirrors CgOptions.
+  /// Jacobi (diagonal) preconditioning — CG only.
   bool jacobi = false;
   int max_iterations = 1000;
   double tolerance = 1e-8;  // on ||r|| / ||b||
@@ -65,10 +64,11 @@ class SolverEngine {
                const EngineOptions& opts = {});
 
   /// Fused CG for SPD A. `x` holds the initial guess on entry and the
-  /// solution on exit. Same iteration semantics as solvers::cg.
+  /// solution on exit.
   solvers::SolveResult cg(std::span<const value_t> b, std::span<value_t> x) const;
 
-  /// Fused BiCGSTAB. Same iteration semantics as solvers::bicgstab.
+  /// Fused BiCGSTAB (two products per iteration). `x` holds the initial
+  /// guess on entry and the solution on exit.
   solvers::SolveResult bicgstab(std::span<const value_t> b, std::span<value_t> x) const;
 
   /// Y = alpha * A * X + beta * Y over dense operand blocks (X: ncols x k,

@@ -70,7 +70,7 @@ CsrMatrix dense(index_t n, std::uint64_t seed);
 CsrMatrix block_diagonal(index_t n, index_t block, std::uint64_t seed);
 
 /// Rewrite values so the matrix is strictly diagonally dominant (adds the
-/// diagonal if missing) — makes CG/GMRES converge for solver experiments.
+/// diagonal if missing) — makes CG/BiCGSTAB converge for solver experiments.
 CsrMatrix make_diagonally_dominant(const CsrMatrix& m, std::uint64_t seed);
 
 /// Exactly symmetric twin of a square matrix: its strict lower triangle,

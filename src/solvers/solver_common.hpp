@@ -1,23 +1,10 @@
-// Shared pieces of the iterative solvers: the SpMV callback type and the
-// result record. Solvers take any SpMV implementation (baseline kernel, a
-// PreparedSpmv from the tuner, the vendor kernel), which is how the
-// amortization experiments plug optimized kernels into the solver loop.
+// The result record of an iterative solve, returned by
+// engine::SolverEngine::cg and ::bicgstab.
 #pragma once
 
-#include <functional>
-#include <span>
 #include <vector>
 
-#include "common/types.hpp"
-#include "sparse/csr.hpp"
-
 namespace sparta::solvers {
-
-/// y = A * x callback.
-using SpmvFn = std::function<void(std::span<const value_t>, std::span<value_t>)>;
-
-/// Default SpMV: the serial reference kernel on the given matrix.
-SpmvFn reference_spmv(const CsrMatrix& a);
 
 /// Convergence report.
 struct SolveResult {
@@ -34,14 +21,5 @@ struct SolveResult {
   std::vector<double> residual_history;
   std::vector<double> iter_seconds;
 };
-
-// Small dense-vector helpers used by the solvers (serial; the vectors are
-// tiny compared to the SpMV work).
-double dot(std::span<const value_t> a, std::span<const value_t> b);
-double norm2(std::span<const value_t> a);
-/// y += alpha * x
-void axpy(value_t alpha, std::span<const value_t> x, std::span<value_t> y);
-/// y = x + beta * y
-void xpby(std::span<const value_t> x, value_t beta, std::span<value_t> y);
 
 }  // namespace sparta::solvers

@@ -66,7 +66,7 @@ class CsrMatrix {
   /// description on the first violation.
   void validate() const;
 
-  /// Transpose (used by symmetric expansion tests and GMRES experiments).
+  /// Transpose (used by is_symmetric and by tests that build A + A^T).
   [[nodiscard]] CsrMatrix transpose() const;
 
   /// Copy of rows [begin, end) as a standalone (end-begin) x ncols matrix.

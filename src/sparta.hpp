@@ -35,8 +35,6 @@
 #include "obs/telemetry.hpp"        // IWYU pragma: export
 #include "obs/trace.hpp"            // IWYU pragma: export
 #include "sim/simulator.hpp"        // IWYU pragma: export
-#include "solvers/cg.hpp"           // IWYU pragma: export
-#include "solvers/gmres.hpp"        // IWYU pragma: export
 #include "sparse/build.hpp"         // IWYU pragma: export
 #include "sparse/csr.hpp"           // IWYU pragma: export
 #include "sparse/matrix_market.hpp" // IWYU pragma: export

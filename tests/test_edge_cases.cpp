@@ -1,14 +1,13 @@
 // Cross-module edge cases: degenerate shapes (empty, 1x1, single-row,
-// single-column) pushed through formats, kernels, the simulator, the tuner
-// and the solvers. These are the inputs that break real libraries.
+// single-column) pushed through formats, kernels, the simulator and the
+// tuner; the solver engine's degenerate systems are in test_engine. These
+// are the inputs that break real libraries.
 #include <gtest/gtest.h>
 
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
-#include "solvers/cg.hpp"
-#include "solvers/gmres.hpp"
 #include "tuner/optimizer.hpp"
 
 namespace sparta {
@@ -61,18 +60,6 @@ TEST(EdgeCases, OneByOneEverywhere) {
 
   const auto r = sim::simulate_spmv(m, knc(), sim::KernelConfig{});
   EXPECT_GT(r.run.seconds, 0.0);
-}
-
-TEST(EdgeCases, OneByOneSolvers) {
-  const CsrMatrix m = one_by_one(4.0);
-  aligned_vector<value_t> b{8.0}, x{0.0};
-  const auto cg = solvers::cg(m, b, x);
-  EXPECT_TRUE(cg.converged);
-  EXPECT_NEAR(x[0], 2.0, 1e-10);
-  aligned_vector<value_t> xg{0.0};
-  const auto gm = solvers::gmres(m, b, xg);
-  EXPECT_TRUE(gm.converged);
-  EXPECT_NEAR(xg[0], 2.0, 1e-10);
 }
 
 TEST(EdgeCases, SingleLongRowKernels) {
@@ -149,25 +136,6 @@ TEST(EdgeCases, AllRowsEmptyExceptOne) {
   kernels::PreparedSpmv{m, kernels::SpmvOptions{.threads = 8}}.run(x, y);
   EXPECT_DOUBLE_EQ(y[500], 7.0);
   EXPECT_DOUBLE_EQ(y[0], 0.0);  // empty rows must be zeroed, not stale
-}
-
-TEST(EdgeCases, GmresRestartLargerThanDimension) {
-  const CsrMatrix m = gen::make_diagonally_dominant(gen::banded(20, 3, 3, 901), 902);
-  aligned_vector<value_t> b(20, 1.0), x(20, 0.0);
-  solvers::GmresOptions opts;
-  opts.restart = 100;  // larger than n: must still terminate and converge
-  const auto r = solvers::gmres(m, b, x, opts);
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(EdgeCases, CgStartingAtSolution) {
-  const CsrMatrix m = gen::stencil5(6, 6);
-  aligned_vector<value_t> x_true(36, 1.0), b(36), x(36);
-  spmv_reference(m, x_true, b);
-  std::copy(x_true.begin(), x_true.end(), x.begin());
-  const auto r = solvers::cg(m, b, x);
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.iterations, 0);
 }
 
 TEST(EdgeCases, GeneratorsDegenerateSizes) {

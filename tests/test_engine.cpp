@@ -1,10 +1,11 @@
 // Tests for the persistent-parallel solver execution engine (src/engine/)
 // and the region-reentrant PreparedSpmv entry point it drives: run_team
 // correctness against the serial reference, NUMA first-touch equivalence,
-// partition edge cases, adopting a prepared plan, fused-vs-legacy solver
-// agreement on the generator suite and on every plan (the engine runs the
-// plan it is given), the per-product telemetry, NaN breakdown, and the
-// determinism contract.
+// partition and solver edge cases, adopting a prepared plan, agreement of
+// the fused solvers with the serial reference solvers (reference_solvers.hpp)
+// on the generator suite and on every plan (the engine runs the plan it is
+// given), the per-product telemetry, NaN breakdown, and the determinism
+// contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,8 +20,7 @@
 #include "gen/suite.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "obs/telemetry.hpp"
-#include "solvers/bicgstab.hpp"
-#include "solvers/cg.hpp"
+#include "reference_solvers.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/decomposed_csr.hpp"
 #include "sparse/partition.hpp"
@@ -50,17 +50,20 @@ CsrMatrix spd_like(const CsrMatrix& a, std::uint64_t seed) {
   return gen::make_diagonally_dominant(CsrMatrix::from_coo(sym), seed);
 }
 
-double norm2(std::span<const value_t> v) {
-  double acc = 0.0;
-  for (const value_t e : v) acc += e * e;
-  return std::sqrt(acc);
-}
-
 /// Residual agreement, normalized by the initial-residual scale ||b||
 /// (x0 = 0): comparing converged residuals to each other directly would be
 /// dominated by reduction-order rounding noise once both are tiny.
-double residual_rel_diff(double rf, double rl, std::span<const value_t> b) {
-  return std::abs(rf - rl) / std::max(norm2(b), 1e-300);
+double residual_rel_diff(double rf, double rr, std::span<const value_t> b) {
+  return std::abs(rf - rr) / std::max(reference::norm2(b), 1e-300);
+}
+
+/// ||b - A x||, computed with the serial reference product.
+double true_residual(const CsrMatrix& a, std::span<const value_t> x,
+                     std::span<const value_t> b) {
+  aligned_vector<value_t> r(b.size());
+  spmv_reference(a, x, r);
+  for (std::size_t i = 0; i < b.size(); ++i) r[i] = b[i] - r[i];
+  return reference::norm2(r);
 }
 
 /// One thread, outside any parallel region, runs every part of the plan.
@@ -181,9 +184,9 @@ TEST(EngineEdge, MoreThreadsThanRows) {
   const auto r = eng.cg(b, x);
   EXPECT_TRUE(r.converged);
 
-  aligned_vector<value_t> x_legacy(b.size(), 0.0);
-  const auto rl = solvers::cg(a, b, x_legacy);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x[i], x_legacy[i], 1e-8);
+  aligned_vector<value_t> x_ref(b.size(), 0.0);
+  reference::cg(a, b, x_ref);
+  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-8);
 }
 
 TEST(EngineEdge, ZeroRhsYieldsZeroSolution) {
@@ -203,6 +206,52 @@ TEST(EngineEdge, RejectsShapeMismatch) {
   aligned_vector<value_t> b(5), x(16);
   EXPECT_THROW(eng.cg(b, x), std::invalid_argument);
   EXPECT_THROW(eng.bicgstab(b, x), std::invalid_argument);
+
+  CooMatrix rect{4, 6};
+  rect.add(0, 0, 1.0);
+  const CsrMatrix ra = CsrMatrix::from_coo(rect);
+  const engine::SolverEngine rect_eng{ra};
+  aligned_vector<value_t> b2(4), x2(4);
+  EXPECT_THROW(rect_eng.cg(b2, x2), std::invalid_argument);
+  EXPECT_THROW(rect_eng.bicgstab(b2, x2), std::invalid_argument);
+}
+
+TEST(EngineEdge, MaxIterationsCapsWork) {
+  const CsrMatrix a = gen::stencil5(30, 30);
+  const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 505);
+  const engine::SolverEngine eng{a, sim::KernelConfig{},
+                                 engine::EngineOptions{.max_iterations = 3}};
+  for (const bool cg : {true, false}) {
+    SCOPED_TRACE(cg ? "cg" : "bicgstab");
+    aligned_vector<value_t> x(b.size(), 0.0);
+    const auto r = cg ? eng.cg(b, x) : eng.bicgstab(b, x);
+    EXPECT_FALSE(r.converged);
+    EXPECT_LE(r.iterations, 3);
+  }
+}
+
+TEST(EngineEdge, OneByOneSystem) {
+  CooMatrix coo{1, 1};
+  coo.add(0, 0, 4.0);
+  const CsrMatrix a = CsrMatrix::from_coo(coo);
+  const engine::SolverEngine eng{a};
+  const aligned_vector<value_t> b{8.0};
+  for (const bool cg : {true, false}) {
+    SCOPED_TRACE(cg ? "cg" : "bicgstab");
+    aligned_vector<value_t> x{0.0};
+    EXPECT_TRUE((cg ? eng.cg(b, x) : eng.bicgstab(b, x)).converged);
+    EXPECT_NEAR(x[0], 2.0, 1e-10);
+  }
+}
+
+TEST(EngineEdge, CgStartingAtSolution) {
+  const CsrMatrix a = gen::stencil5(6, 6);
+  aligned_vector<value_t> x_true(36, 1.0), b(36), x(36);
+  spmv_reference(a, x_true, b);
+  std::copy(x_true.begin(), x_true.end(), x.begin());
+  const auto r = engine::SolverEngine{a}.cg(b, x);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 0);
 }
 
 // --- Adopting a prepared plan ---------------------------------------------
@@ -239,62 +288,66 @@ TEST(EngineAdopt, RejectsNullAndPlansForAnotherShape) {
                std::invalid_argument);
 }
 
-TEST(Engine, FusedCgConvergesLikeLegacy) {
+TEST(Engine, FusedCgConvergesLikeReference) {
   const CsrMatrix a = gen::stencil5(20, 20);
   const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 609);
-  aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+  aligned_vector<value_t> x_fused(b.size(), 0.0), x_ref(b.size(), 0.0);
 
   engine::EngineOptions opts;
   opts.threads = 4;
   const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
   const auto rf = eng.cg(b, x_fused);
-  const auto rl = solvers::cg(a, b, x_legacy);
+  const auto rr = reference::cg(a, b, x_ref, opts);
 
   EXPECT_TRUE(rf.converged);
-  EXPECT_TRUE(rl.converged);
-  EXPECT_EQ(rf.iterations, rl.iterations);
-  EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10);
-  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_legacy[i], 1e-10);
+  EXPECT_TRUE(rr.converged);
+  EXPECT_EQ(rf.iterations, rr.iterations);
+  EXPECT_LT(residual_rel_diff(rf.residual_norm, rr.residual_norm, b), 1e-10);
+  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_ref[i], 1e-10);
+  EXPECT_LT(true_residual(a, x_fused, b), 1e-6);
+  EXPECT_GE(rf.spmv_seconds, 0.0);
+  EXPECT_LE(rf.spmv_seconds, rf.seconds + 1e-9);
 }
 
-TEST(Engine, FusedCgWithJacobiMatchesLegacy) {
+TEST(Engine, FusedCgWithJacobiMatchesReference) {
   const CsrMatrix a = spd_like(gen::banded(300, 18, 6, 610), 611);
   const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 612);
-  aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+  aligned_vector<value_t> x_fused(b.size(), 0.0), x_ref(b.size(), 0.0);
 
   engine::EngineOptions opts;
   opts.threads = 4;
   opts.jacobi = true;
   const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
   const auto rf = eng.cg(b, x_fused);
-
-  solvers::CgOptions legacy_opts;
-  legacy_opts.jacobi = true;
-  const auto rl = solvers::cg(a, b, x_legacy, legacy_opts);
+  const auto rr = reference::cg(a, b, x_ref, opts);
 
   EXPECT_TRUE(rf.converged);
-  EXPECT_TRUE(rl.converged);
-  EXPECT_EQ(rf.iterations, rl.iterations);
-  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_legacy[i], 1e-8);
+  EXPECT_TRUE(rr.converged);
+  EXPECT_EQ(rf.iterations, rr.iterations);
+  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_ref[i], 1e-8);
+  EXPECT_LT(true_residual(a, x_fused, b), 1e-5);
 }
 
-TEST(Engine, FusedBicgstabMatchesLegacy) {
+TEST(Engine, FusedBicgstabMatchesReference) {
   const CsrMatrix a =
       gen::make_diagonally_dominant(gen::random_uniform(300, 8, 613), 614);
   const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 615);
-  aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+  aligned_vector<value_t> x_fused(b.size(), 0.0), x_ref(b.size(), 0.0);
 
   engine::EngineOptions opts;
   opts.threads = 4;
   const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
   const auto rf = eng.bicgstab(b, x_fused);
-  const auto rl = solvers::bicgstab(a, b, x_legacy);
+  const auto rr = reference::bicgstab(a, b, x_ref, opts);
 
   EXPECT_TRUE(rf.converged);
-  EXPECT_TRUE(rl.converged);
-  EXPECT_EQ(rf.iterations, rl.iterations);
-  EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10);
-  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_legacy[i], 1e-8);
+  EXPECT_TRUE(rr.converged);
+  EXPECT_EQ(rf.iterations, rr.iterations);
+  EXPECT_LT(residual_rel_diff(rf.residual_norm, rr.residual_norm, b), 1e-10);
+  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_ref[i], 1e-8);
+  EXPECT_LT(true_residual(a, x_fused, b), 1e-5);
+  EXPECT_GE(rf.spmv_seconds, 0.0);
+  EXPECT_LE(rf.spmv_seconds, rf.seconds + 1e-9);
 }
 
 TEST(Engine, FirstTouchTogglesAgree) {
@@ -318,57 +371,43 @@ TEST(Engine, FirstTouchTogglesAgree) {
   for (std::size_t i = 0; i < b.size(); ++i) ASSERT_DOUBLE_EQ(x1[i], x2[i]);
 }
 
-// The acceptance bar of the engine PR: fused CG agrees with legacy CG on
+// The engine's acceptance bar: fused CG agrees with the reference CG on
 // every suite analogue. A small fixed iteration count makes agreement a
 // property of the fused arithmetic itself: a wrong fusion shows up as an
 // O(1) error on iteration one, while legitimate reduction-order rounding
 // needs many iterations of chaotic amplification (on ill-conditioned
 // matrices like rajat30/FullChip analogues) before it can clear 1e-10.
-TEST(EngineAgreement, FusedCgMatchesLegacyOnSuite) {
+TEST(EngineAgreement, FusedCgMatchesReferenceOnSuite) {
   std::uint64_t seed = 6500;
   for (const auto& spec : gen::suite_specs()) {
     const CsrMatrix a = spd_like(spec.make(), seed++);
     const auto b = random_vector(static_cast<std::size_t>(a.nrows()), seed++);
-    aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+    aligned_vector<value_t> x_fused(b.size(), 0.0), x_ref(b.size(), 0.0);
 
-    solvers::CgOptions legacy_opts;
-    legacy_opts.max_iterations = 4;
-    legacy_opts.tolerance = 0.0;
-    const auto rl = solvers::cg(a, b, x_legacy, legacy_opts);
-
-    engine::EngineOptions opts;
-    opts.threads = 4;
-    opts.max_iterations = 4;
-    opts.tolerance = 0.0;
+    const engine::EngineOptions opts{.threads = 4, .max_iterations = 4, .tolerance = 0.0};
+    const auto rr = reference::cg(a, b, x_ref, opts);
     const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
     const auto rf = eng.cg(b, x_fused);
 
-    EXPECT_EQ(rf.iterations, rl.iterations) << spec.name;
-    EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10) << spec.name;
+    EXPECT_EQ(rf.iterations, rr.iterations) << spec.name;
+    EXPECT_LT(residual_rel_diff(rf.residual_norm, rr.residual_norm, b), 1e-10) << spec.name;
   }
 }
 
-TEST(EngineAgreement, FusedBicgstabMatchesLegacyOnSuite) {
+TEST(EngineAgreement, FusedBicgstabMatchesReferenceOnSuite) {
   std::uint64_t seed = 6600;
   for (const auto& spec : gen::suite_specs()) {
     const CsrMatrix a = gen::make_diagonally_dominant(spec.make(), seed++);
     const auto b = random_vector(static_cast<std::size_t>(a.nrows()), seed++);
-    aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
+    aligned_vector<value_t> x_fused(b.size(), 0.0), x_ref(b.size(), 0.0);
 
-    solvers::BicgstabOptions legacy_opts;
-    legacy_opts.max_iterations = 3;
-    legacy_opts.tolerance = 0.0;
-    const auto rl = solvers::bicgstab(a, b, x_legacy, legacy_opts);
-
-    engine::EngineOptions opts;
-    opts.threads = 4;
-    opts.max_iterations = 3;
-    opts.tolerance = 0.0;
+    const engine::EngineOptions opts{.threads = 4, .max_iterations = 3, .tolerance = 0.0};
+    const auto rr = reference::bicgstab(a, b, x_ref, opts);
     const engine::SolverEngine eng{a, sim::KernelConfig{}, opts};
     const auto rf = eng.bicgstab(b, x_fused);
 
-    EXPECT_EQ(rf.iterations, rl.iterations) << spec.name;
-    EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10) << spec.name;
+    EXPECT_EQ(rf.iterations, rr.iterations) << spec.name;
+    EXPECT_LT(residual_rel_diff(rf.residual_norm, rr.residual_norm, b), 1e-10) << spec.name;
   }
 }
 
@@ -426,58 +465,57 @@ TEST(EnginePlans, SpmmMatchesRunBitwise) {
   }
 }
 
-/// Engine CG (or BiCGSTAB) on `cfg` against its legacy twin. After 4 (3)
+/// Engine CG (or BiCGSTAB) on `cfg` against the reference. After 4 (3)
 /// steps with no stopping test the two agree in the suite agreement bar
 /// above (same steps, residuals within 1e-10 of ||b||): a plan that
 /// computed a wrong product would miss it by O(1). Solved to the default
 /// tolerance, both converge to solutions within 1e-6 (the
 /// symmetric-storage bar of test_sym): the plans' reassociated sums may
 /// shift the stopping step.
-void expect_matches_legacy(const CsrMatrix& a, const sim::KernelConfig& cfg, std::uint64_t seed,
-                           bool cg) {
+void expect_matches_reference(const CsrMatrix& a, const sim::KernelConfig& cfg,
+                              std::uint64_t seed, bool cg) {
   const auto b = random_vector(static_cast<std::size_t>(a.nrows()), seed);
   for (const bool converge : {false, true}) {
     SCOPED_TRACE(converge ? "to convergence" : "fixed steps");
-    const int max_it = converge ? 1000 : (cg ? 4 : 3);
-    const double tol = converge ? 1e-8 : 0.0;
-    aligned_vector<value_t> x_fused(b.size(), 0.0), x_legacy(b.size(), 0.0);
-    const engine::SolverEngine eng{
-        a, cfg, engine::EngineOptions{.threads = 4, .max_iterations = max_it, .tolerance = tol}};
+    const engine::EngineOptions opts{.threads = 4,
+                                     .max_iterations = converge ? 1000 : (cg ? 4 : 3),
+                                     .tolerance = converge ? 1e-8 : 0.0};
+    aligned_vector<value_t> x_fused(b.size(), 0.0), x_ref(b.size(), 0.0);
+    const engine::SolverEngine eng{a, cfg, opts};
     const auto rf = cg ? eng.cg(b, x_fused) : eng.bicgstab(b, x_fused);
-    const auto rl =
-        cg ? solvers::cg(a, b, x_legacy, {.max_iterations = max_it, .tolerance = tol})
-           : solvers::bicgstab(a, b, x_legacy, {.max_iterations = max_it, .tolerance = tol});
+    const auto rr =
+        cg ? reference::cg(a, b, x_ref, opts) : reference::bicgstab(a, b, x_ref, opts);
     if (converge) {
       EXPECT_TRUE(rf.converged);
-      EXPECT_TRUE(rl.converged);
-      for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_legacy[i], 1e-6);
+      EXPECT_TRUE(rr.converged);
+      for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x_fused[i], x_ref[i], 1e-6);
     } else {
-      EXPECT_EQ(rf.iterations, rl.iterations);
-      EXPECT_LT(residual_rel_diff(rf.residual_norm, rl.residual_norm, b), 1e-10);
+      EXPECT_EQ(rf.iterations, rr.iterations);
+      EXPECT_LT(residual_rel_diff(rf.residual_norm, rr.residual_norm, b), 1e-10);
     }
   }
 }
 
-TEST(EnginePlans, CgMatchesLegacyOnSymmetricAndDecomposedPlans) {
+TEST(EnginePlans, CgMatchesReferenceOnSymmetricAndDecomposedPlans) {
   const CsrMatrix spd = spd_like(long_row_matrix(), 650);
   ASSERT_FALSE(DecomposedCsrMatrix::decompose(spd).long_rows().empty());
   ASSERT_TRUE(kernels::PreparedSpmv(spd, kernels::SpmvOptions{.config = plan_config("symmetric")})
                   .symmetric_applied());
   for (const char* name : {"symmetric", "decomposed"}) {
     SCOPED_TRACE(name);
-    expect_matches_legacy(spd, plan_config(name), 651, true);
+    expect_matches_reference(spd, plan_config(name), 651, true);
   }
 }
 
-TEST(EnginePlans, BicgstabMatchesLegacyOnDecomposedDynamicAndSymmetricPlans) {
+TEST(EnginePlans, BicgstabMatchesReferenceOnDecomposedDynamicAndSymmetricPlans) {
   const CsrMatrix general = gen::make_diagonally_dominant(long_row_matrix(), 653);
   ASSERT_FALSE(DecomposedCsrMatrix::decompose(general).long_rows().empty());
   for (const char* name : {"decomposed", "dynamic"}) {
     SCOPED_TRACE(name);
-    expect_matches_legacy(general, plan_config(name), 654, false);
+    expect_matches_reference(general, plan_config(name), 654, false);
   }
   SCOPED_TRACE("symmetric");
-  expect_matches_legacy(spd_like(long_row_matrix(), 655), plan_config("symmetric"), 656, false);
+  expect_matches_reference(spd_like(long_row_matrix(), 655), plan_config("symmetric"), 656, false);
 }
 
 // --- Telemetry: every product is counted once ------------------------------
@@ -525,10 +563,6 @@ TEST(SolverBreakdown, NanRhsStopsEverySolver) {
   check("engine cg", eng.cg(b, x));
   std::fill(x.begin(), x.end(), 0.0);
   check("engine bicgstab", eng.bicgstab(b, x));
-  std::fill(x.begin(), x.end(), 0.0);
-  check("legacy cg", solvers::cg(a, b, x, {.max_iterations = 500}));
-  std::fill(x.begin(), x.end(), 0.0);
-  check("legacy bicgstab", solvers::bicgstab(a, b, x, {.max_iterations = 500}));
 }
 
 // --- Determinism contract (DESIGN.md §9) -----------------------------------

@@ -1,7 +1,8 @@
 // Tests for the sparta::obs telemetry subsystem: per-thread counter/gauge/
 // histogram merging, the disabled-mode zero-allocation guarantee, TuneTrace
-// JSON-Lines round-tripping, and the deprecated-API wrappers' equivalence
-// with the unified tune()/plan() and SpmvOptions surfaces.
+// JSON-Lines round-tripping, and the unified tune()/plan() surface: policy
+// selection, tune() against evaluate() then plan(), and the traces it
+// collects on request.
 #include <gtest/gtest.h>
 #include <omp.h>
 
