@@ -11,7 +11,6 @@
 #include "common/prng.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "kernels/microbench_kernels.hpp"
 #include "tuner/optimizations.hpp"
 
 namespace {
@@ -94,29 +93,18 @@ void BM_AutoSched_Skewed(benchmark::State& state) {
 }
 BENCHMARK(BM_AutoSched_Skewed);
 
-// The two bound micro-benchmark kernels (paper SIII-B) on the host.
+// The two bound micro-benchmark plans (paper SIII-B) on the host.
 void BM_PmlKernel_Scattered(benchmark::State& state) {
-  const CsrMatrix& m = scattered_matrix();
-  const auto colind = kernels::regularized_colind(m);
-  const auto x = input_vector(m);
-  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  const auto parts = partition_balanced_nnz(m, 4);
-  for (auto _ : state) {
-    kernels::spmv_with_colind(m, colind, x, y, parts);
-    benchmark::DoNotOptimize(y.data());
-  }
+  sim::KernelConfig cfg;
+  cfg.x_access = sim::XAccess::kRegularized;
+  run_config(state, scattered_matrix(), cfg);
 }
 BENCHMARK(BM_PmlKernel_Scattered);
 
 void BM_PcmpKernel_Scattered(benchmark::State& state) {
-  const CsrMatrix& m = scattered_matrix();
-  const auto x = input_vector(m);
-  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  const auto parts = partition_balanced_nnz(m, 4);
-  for (auto _ : state) {
-    kernels::spmv_unit_stride(m, x, y, parts);
-    benchmark::DoNotOptimize(y.data());
-  }
+  sim::KernelConfig cfg;
+  cfg.x_access = sim::XAccess::kUnitStride;
+  run_config(state, scattered_matrix(), cfg);
 }
 BENCHMARK(BM_PcmpKernel_Scattered);
 

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -45,15 +46,12 @@ double product(const kernels::PreparedSpmv& spmv, std::span<const value_t> x,
 
 SolverEngine::SolverEngine(const CsrMatrix& a, const sim::KernelConfig& cfg,
                            const EngineOptions& opts)
-    : a_(&a),
-      opts_(opts),
-      threads_(opts.threads > 0 ? opts.threads : omp_get_max_threads()),
-      prepared_(std::make_shared<const kernels::PreparedSpmv>(
-          a, kernels::SpmvOptions{.config = cfg,
-                                  .threads = threads_,
-                                  .first_touch = opts.first_touch})) {
-  init_jacobi();
-}
+    : SolverEngine(a,
+                   std::make_shared<const kernels::PreparedSpmv>(
+                       a, kernels::SpmvOptions{.config = cfg,
+                                               .threads = std::max(opts.threads, 0),
+                                               .first_touch = opts.first_touch}),
+                   opts) {}
 
 SolverEngine::SolverEngine(const CsrMatrix& a,
                            std::shared_ptr<const kernels::PreparedSpmv> prepared,
@@ -65,6 +63,10 @@ SolverEngine::SolverEngine(const CsrMatrix& a,
   if (prepared_->nrows() != a.nrows() || prepared_->ncols() != a.ncols()) {
     throw std::invalid_argument{"SolverEngine: prepared kernel is for a different shape"};
   }
+  if (prepared_->config().x_access != kernels::XAccess::kIndirect) {
+    throw std::invalid_argument{"SolverEngine: a bound micro-benchmark plan does not compute A x"};
+  }
+  if (opts.max_iterations < 0) throw std::invalid_argument{"SolverEngine: max_iterations < 0"};
   // The region partition is fixed at preparation time; the engine must run
   // exactly that many threads.
   threads_ = prepared_->threads();

@@ -44,6 +44,7 @@ struct EngineOptions {
   bool first_touch = true;
   /// Jacobi (diagonal) preconditioning — CG only.
   bool jacobi = false;
+  /// Iteration cap of cg() and bicgstab(); must be >= 0.
   int max_iterations = 1000;
   double tolerance = 1e-8;  // on ||r|| / ||b||
 };
@@ -52,14 +53,18 @@ struct EngineOptions {
 /// source matrix must outlive the engine.
 class SolverEngine {
  public:
+  /// Prepare `cfg` for `a` at opts.threads. Throws std::invalid_argument
+  /// when cfg.x_access is not kIndirect (a bound micro-benchmark plan does
+  /// not compute A x) or opts.max_iterations < 0.
   explicit SolverEngine(const CsrMatrix& a, const sim::KernelConfig& cfg = {},
                         const EngineOptions& opts = {});
 
   /// Adopt an already-prepared kernel instance (e.g. one shared with
   /// another engine) instead of re-running preprocessing. `prepared` must
   /// be non-null and built from `a`; its thread count wins over
-  /// opts.threads. Throws std::invalid_argument on null or when its
-  /// nrows()/ncols() differ from `a`'s.
+  /// opts.threads. Throws std::invalid_argument on null, when its
+  /// nrows()/ncols() differ from `a`'s, or on the other constructor's
+  /// conditions.
   SolverEngine(const CsrMatrix& a, std::shared_ptr<const kernels::PreparedSpmv> prepared,
                const EngineOptions& opts = {});
 

@@ -6,6 +6,8 @@
 // structure also encodes the two bound micro-benchmarks of §III-B via
 // `x_access`:  Regularized  -> the P_ML kernel (colind[j] := row index),
 //              UnitStride   -> the P_CMP kernel (no colind, x[i] only).
+// Both run on the host as PreparedSpmv plans (plain CSR storage only) and
+// in the simulator's cost model.
 //
 // The descriptors live in the kernels module (they parameterize the host
 // kernels the registry instantiates); the simulator's cost model

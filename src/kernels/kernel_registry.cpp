@@ -36,6 +36,7 @@ struct Prepared {
 
   NumaArray<offset_t> ft_rowptr;
   NumaArray<index_t> ft_colind;
+  NumaArray<index_t> row_colind;  // the P_ML bound's colind: row i's entries hold i
   NumaArray<value_t> ft_values;
   NumaArray<index_t> ft_first_col;
   NumaArray<std::uint8_t> ft_deltas8;
@@ -164,6 +165,32 @@ std::array<Prepared::BlockRowsFn, 4> csr_block_table(bool vec, bool unroll, bool
 constexpr std::array<Prepared::BlockRowsFn, 4> kDeltaBlockTable{
     &delta_block_rows<1>, &delta_block_rows<2>, &delta_block_rows<4>, &delta_block_rows<8>};
 
+template <index_t K>
+void unit_stride_block_rows(const Prepared& p, RowRange r, ConstDenseBlockView x,
+                            DenseBlockView y, value_t alpha, value_t beta) {
+  unit_stride_rows_block<K>(p.view, x, y, alpha, beta, r);
+}
+
+/// The k-specialized impl table of the P_CMP bound.
+constexpr std::array<Prepared::BlockRowsFn, 4> kUnitStrideBlockTable{
+    &unit_stride_block_rows<1>, &unit_stride_block_rows<2>, &unit_stride_block_rows<4>,
+    &unit_stride_block_rows<8>};
+
+/// Rows `r` through the plan's width-1 row kernel, then their w·y: the fused
+/// dot of a table that has no fused kernel of its own.
+double local_block_dot(const Prepared& p, RowRange r, std::span<const value_t> x,
+                       std::span<value_t> y, std::span<const value_t> w, value_t alpha,
+                       value_t beta) {
+  p.block_rows[0](p, r, ConstDenseBlockView::from_vector(x), DenseBlockView::from_vector(y),
+                  alpha, beta);
+  double acc = 0.0;
+  for (index_t i = r.begin; i < r.end; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    acc += w[k] * y[k];
+  }
+  return acc;
+}
+
 /// Copy `src` ranges into untouched `dst` storage from the threads that own
 /// the corresponding row ranges, placing pages NUMA-locally. `row_of` maps a
 /// RowRange to the [first, last) element range of the array being copied.
@@ -186,6 +213,22 @@ struct ElemRange {
   std::ptrdiff_t first;
   std::ptrdiff_t last;
 };
+
+/// The P_ML bound's column array: every entry of row i holds i, written by
+/// the thread that owns the row's part (one part per thread).
+NumaArray<index_t> row_index_colind(std::span<const offset_t> rp, std::span<const RowRange> parts,
+                                    int threads) {
+  NumaArray<index_t> colind(static_cast<std::size_t>(rp.back()));
+  index_t* const out = colind.data();
+#pragma omp parallel for default(none) shared(rp, parts, out) num_threads(threads) \
+    schedule(static, 1)
+  for (const RowRange& r : parts) {
+    for (auto i = static_cast<std::size_t>(r.begin); i < static_cast<std::size_t>(r.end); ++i) {
+      std::fill(out + rp[i], out + rp[i + 1], static_cast<index_t>(i));
+    }
+  }
+  return colind;
+}
 
 // ---------------------------------------------------------------------------
 // The plans' phases. Each runs on one thread of a team of `nt` and walks the
@@ -348,10 +391,15 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
     : config_(opts.config), nrows_(a.nrows()), ncols_(a.ncols()) {
   if (opts.threads < 0) throw std::invalid_argument{"PreparedSpmv: threads < 0"};
   if (opts.block_width < 1) throw std::invalid_argument{"PreparedSpmv: block_width < 1"};
+  const KernelConfig& cfg = config_;
+  const bool bound = cfg.x_access != XAccess::kIndirect;
+  if (bound && (cfg.delta || cfg.symmetric || cfg.decomposed)) {
+    throw std::invalid_argument{"PreparedSpmv: the bound plan " + cfg.describe() +
+                                " runs on plain CSR only"};
+  }
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
   threads_ = threads;
   block_width_ = opts.block_width;
-  const KernelConfig& cfg = config_;
   Timer timer;
   auto prepared = std::make_shared<Prepared>();
   Prepared& p = *prepared;
@@ -405,6 +453,11 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
     p.parts = partition_balanced_nnz(a, threads);
   }
   const std::size_t np = p.parts.size();
+
+  if (cfg.x_access == XAccess::kRegularized) {
+    p.row_colind = row_index_colind(a.rowptr(), p.parts, threads);
+    p.view.colind = p.row_colind.span();
+  }
 
   if (symmetric_applied_) {
     p.sym_view = make_view(*p.sym);
@@ -479,9 +532,11 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
                          rp[static_cast<std::size_t>(r.end)]};
       };
       first_touch_copy(rp, p.ft_rowptr, parts, threads, rowptr_range);
-      first_touch_copy(a.colind(), p.ft_colind, parts, threads, nnz_range);
+      // A bound plan's column array is already placed (P_ML) or never read.
+      if (!bound) first_touch_copy(a.colind(), p.ft_colind, parts, threads, nnz_range);
       first_touch_copy(a.values(), p.ft_values, parts, threads, nnz_range);
-      p.view = CsrView{p.ft_rowptr.span(), p.ft_colind.span(), p.ft_values.span(), a.nrows()};
+      p.view = CsrView{p.ft_rowptr.span(), bound ? p.view.colind : p.ft_colind.span(),
+                       p.ft_values.span(), a.nrows()};
     }
     first_touch_applied_ = true;
   }
@@ -491,6 +546,9 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   if (use_delta) {
     p.block_rows = kDeltaBlockTable;
     p.local_dot = &local_delta_dot;
+  } else if (cfg.x_access == XAccess::kUnitStride) {
+    p.block_rows = kUnitStrideBlockTable;
+    p.local_dot = &local_block_dot;
   } else {
     p.block_rows = csr_block_table<&Prepared::view>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
     p.local_dot = pick<LocalCsrDot>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
@@ -513,6 +571,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   const auto dnnz = static_cast<double>(a.nnz());
   const auto dnrows = static_cast<double>(a.nrows());
   double index_bytes = dnnz * static_cast<double>(sizeof(index_t));
+  if (cfg.x_access == XAccess::kUnitStride) index_bytes = 0.0;  // colind never read
   if (delta_applied_) {
     index_bytes = dnnz * (prepared_->delta->width() == DeltaWidth::k8 ? 1.0 : 2.0) +
                   dnrows * static_cast<double>(sizeof(index_t));  // first_col
@@ -546,7 +605,9 @@ void PreparedSpmv::run(ConstDenseBlockView x, DenseBlockView y, value_t alpha,
   if (x.width != y.width) {
     throw std::invalid_argument{"PreparedSpmv::run: operand width mismatch"};
   }
-  if (x.rows < ncols_ || y.rows < nrows_) {
+  // A bound plan reads X at the row indices.
+  const index_t x_rows = config_.x_access == XAccess::kIndirect ? ncols_ : nrows_;
+  if (x.rows < x_rows || y.rows < nrows_) {
     throw std::invalid_argument{"PreparedSpmv::run: operand shorter than the matrix"};
   }
   run_width_.set(static_cast<double>(x.width));

@@ -69,17 +69,24 @@ struct SpmvOptions {
 /// thread reads its share of rowptr/colind/values from local memory. The
 /// other plans do not read those streams by owned row (`first_touch_applied()`
 /// reports false).
+///
+/// `KernelConfig::x_access` selects the paper's bound micro-benchmarks
+/// (§III-B): kRegularized runs the CSR kernels over a prepared colind whose
+/// row-i entries hold i (P_ML), kUnitStride a unit-stride row body that
+/// never reads colind (P_CMP). Both compute Y[i] = alpha * X[i] * (sum of
+/// row i) + beta * Y[i], so X needs nrows() rows.
 class PreparedSpmv {
  public:
   /// Preprocess `a` per `opts`. If opts.config.delta is set but the matrix
   /// is incompressible, falls back to plain colind (delta_applied() reports
-  /// false).
+  /// false). Throws std::invalid_argument when a bound x_access is combined
+  /// with delta, symmetric or decomposed storage.
   explicit PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts = {});
 
   /// Run Y = alpha * A * X + beta * Y in one parallel region of threads()
-  /// threads. X is ncols x k, Y is nrows x k; the widths must match. Throws
-  /// std::invalid_argument on a width mismatch, or when X has fewer than
-  /// ncols() rows or Y fewer than nrows().
+  /// threads. X is ncols x k (nrows x k for a bound plan), Y is nrows x k;
+  /// the widths must match. Throws std::invalid_argument on a width
+  /// mismatch, or when X or Y has fewer rows than that.
   void run(ConstDenseBlockView x, DenseBlockView y, value_t alpha = 1.0,
            value_t beta = 0.0) const;
 
@@ -125,9 +132,10 @@ class PreparedSpmv {
   [[nodiscard]] int block_width() const { return block_width_; }
   /// Estimated bytes streamed from memory by one product of the given
   /// operand width: the matrix arrays in the prepared format once (the SpMM
-  /// amortization — they are not re-read per column), plus x read and y
-  /// written per operand column — feeds the kernels.run.bytes telemetry
-  /// counter with the actual width of each product.
+  /// amortization — they are not re-read per column; no colind for the
+  /// unit-stride bound), plus x read and y written per operand column —
+  /// feeds the kernels.run.bytes telemetry counter with the actual width of
+  /// each product.
   [[nodiscard]] double bytes_per_run(int width) const;
   /// Default form: the prepared block_width hint.
   [[nodiscard]] double bytes_per_run() const { return bytes_per_run(block_width_); }

@@ -10,7 +10,9 @@
 // dispatches a KernelConfig to the right one. The delta-compressed loop has
 // one form: its column decode is a serial dependence, so a vectorized delta
 // config runs the same code (KernelConfig::vectorized still feeds the
-// simulator's cost model). These kernels are
+// simulator's cost model). The paper's two bound micro-benchmarks (§III-B)
+// run the same tables: P_ML the plain-CSR loop over a colind whose row-i
+// entries hold i, P_CMP its own unit-stride row body. These kernels are
 // the *real* implementations: they run multithreaded on the host and every
 // one of them is validated against spmv_reference in the test suite. The
 // modeled platforms use their cost descriptors instead (sim/kernel_model).
@@ -255,19 +257,31 @@ inline void store_row_block(value_t* SPARTA_RESTRICT y,
 /// delegates per row to the identical `detail::csr_row` instantiation the
 /// single-vector path always compiled to, keeping the width-1 block path
 /// bit-identical to it; a strided width-1 sub-view (odd chunk of a wider
-/// operand) runs the generic block body instead.
+/// operand) runs the generic block body instead. The alpha = 1, beta = 0
+/// width-1 loop stores each row sum directly, with no per-row alpha/beta
+/// test, so the plain product is the bare per-row loop.
 template <index_t K, bool Vectorize, bool Unroll, bool Prefetch>
 inline void csr_rows_block(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
                            value_t alpha, value_t beta, RowRange r) {
   const bool plain = alpha == 1.0 && beta == 0.0;
   if constexpr (K == 1) {
     if (x.stride == 1) {
+      const index_t* const colind = a.colind.data();
+      const value_t* const values = a.values.data();
+      if (plain) {
+        for (index_t i = r.begin; i < r.end; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          *y.row(i) = detail::csr_row<Vectorize, Unroll, Prefetch>(colind, values, x.data,
+                                                                   a.rowptr[k], a.rowptr[k + 1]);
+        }
+        return;
+      }
       for (index_t i = r.begin; i < r.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         const value_t acc = detail::csr_row<Vectorize, Unroll, Prefetch>(
-            a.colind.data(), a.values.data(), x.data, a.rowptr[k], a.rowptr[k + 1]);
+            colind, values, x.data, a.rowptr[k], a.rowptr[k + 1]);
         value_t& yi = *y.row(i);
-        yi = plain ? acc : alpha * acc + beta * yi;
+        yi = alpha * acc + beta * yi;
       }
       return;
     }
@@ -277,6 +291,43 @@ inline void csr_rows_block(const CsrView& a, ConstDenseBlockView x, DenseBlockVi
     std::array<value_t, static_cast<std::size_t>(K)> acc;
     detail::csr_row_block<K, Prefetch>(a.colind.data(), a.values.data(), x.data, x.stride,
                                        a.rowptr[k], a.rowptr[k + 1], acc.data());
+    detail::store_row_block<K>(y.row(i), acc.data(), alpha, beta, plain);
+  }
+}
+
+/// Rows [r.begin, r.end) of the P_CMP bound (paper §III-B) for a
+/// compile-time column count K: A's rows with every entry multiplying
+/// operand row i, so X (nrows rows) is read at unit stride and colind never.
+template <index_t K>
+inline void unit_stride_rows_block(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
+                                   value_t alpha, value_t beta, RowRange r) {
+  const bool plain = alpha == 1.0 && beta == 0.0;
+  const value_t* SPARTA_RESTRICT const values = a.values.data();
+  if constexpr (K == 1) {
+    if (plain && x.stride == 1) {
+      for (index_t i = r.begin; i < r.end; ++i) {
+        const auto k = static_cast<std::size_t>(i);
+        const value_t xi = x.data[k];
+        const offset_t end = a.rowptr[k + 1];
+        value_t acc = 0.0;
+        for (offset_t j = a.rowptr[k]; j < end; ++j) {
+          acc += values[static_cast<std::size_t>(j)] * xi;
+        }
+        *y.row(i) = acc;
+      }
+      return;
+    }
+  }
+  for (index_t i = r.begin; i < r.end; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    std::array<value_t, static_cast<std::size_t>(K)> acc{};
+    const value_t* SPARTA_RESTRICT const xr = x.row(i);
+    const offset_t end = a.rowptr[k + 1];
+    for (offset_t j = a.rowptr[k]; j < end; ++j) {
+      const value_t v = values[static_cast<std::size_t>(j)];
+#pragma omp simd
+      for (index_t c = 0; c < K; ++c) acc[c] += v * xr[c];
+    }
     detail::store_row_block<K>(y.row(i), acc.data(), alpha, beta, plain);
   }
 }

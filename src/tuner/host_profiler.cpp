@@ -6,21 +6,17 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/statistics.hpp"
 #include "common/timer.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "kernels/microbench_kernels.hpp"
-#include "kernels/spmv_timed.hpp"
 
 namespace sparta {
 
 namespace {
-
-int resolve_threads(const HostProfileOptions& options) {
-  return options.threads > 0 ? options.threads : std::max(1, omp_get_max_threads());
-}
 
 double gflops(const CsrMatrix& m, double seconds) {
   return seconds > 0.0 ? 2.0 * static_cast<double>(m.nnz()) / seconds * 1e-9 : 0.0;
@@ -42,28 +38,48 @@ void require_iterations(const HostProfileOptions& options) {
 
 PerfBounds profile_bounds(const CsrMatrix& m, const HostProfileOptions& options,
                           BoundRepetitions& reps) {
-  const int threads = resolve_threads(options);
-  const auto parts = partition_balanced_nnz(m, threads);
-
-  aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()), 1.0);
+  // One pair of operands for the three plans; the bound plans read x at the
+  // row indices.
+  aligned_vector<value_t> x(static_cast<std::size_t>(std::max(m.ncols(), m.nrows())), 1.0);
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
+  const auto xv = kernels::ConstDenseBlockView::from_vector(x);
+  const auto yv = kernels::DenseBlockView::from_vector(y);
+  // Time one plan, prepared after the previous one is released (the P_ML
+  // plan's colind is as large as the matrix's). Each repetition is one
+  // region of plan.threads() threads in which every thread times its own
+  // run_team call; returns the repetitions and each thread's mean time.
+  const auto time_bound = [&](kernels::XAccess access) {
+    kernels::KernelConfig config;
+    config.x_access = access;
+    const kernels::PreparedSpmv plan{
+        m, kernels::SpmvOptions{.config = config, .threads = std::max(options.threads, 0)}};
+    const int nt = plan.threads();
+    std::vector<double> call(static_cast<std::size_t>(nt), 0.0);
+    std::vector<double> mean(call.size(), 0.0);
+    bool warm = false;
+    const Repetitions r = time_repetitions(
+        [&] {
+#pragma omp parallel default(none) shared(plan, xv, yv, call) num_threads(nt)
+          {
+            const double t0 = omp_get_wtime();
+            (void)plan.run_team(xv, yv, 1.0, 0.0);
+            call[static_cast<std::size_t>(omp_get_thread_num())] = omp_get_wtime() - t0;
+          }
+          for (std::size_t i = 0; warm && i < call.size(); ++i) mean[i] += call[i];
+          warm = true;  // the first call is time_repetitions' warm-up
+        },
+        options.iterations);
+    for (double& t : mean) t /= r.count;
+    return std::pair{r, std::move(mean)};
+  };
 
   PerfBounds b;
 
   // Baseline with per-thread timing, averaged over the timed repetitions.
-  std::vector<double> thread_sum(parts.size(), 0.0);
-  int calls = 0;
-  const Repetitions csr = time_repetitions(
-      [&] {
-        const auto run = kernels::spmv_csr_timed(m, x, y, parts);
-        if (calls++ == 0) return;  // the warm-up call
-        for (std::size_t p = 0; p < thread_sum.size(); ++p) thread_sum[p] += run.thread_seconds[p];
-      },
-      options.iterations);
+  Repetitions csr;
+  std::tie(csr, b.thread_seconds) = time_bound(kernels::XAccess::kIndirect);
   reps.csr = csr.count;
   b.t_csr_seconds = csr.mean;
-  b.thread_seconds = std::move(thread_sum);
-  for (double& t : b.thread_seconds) t /= csr.count;
   b.p_csr = gflops(m, csr.mean);
 
   std::vector<double> busy;
@@ -73,16 +89,13 @@ PerfBounds profile_bounds(const CsrMatrix& m, const HostProfileOptions& options,
   const double t_median = stats::median(busy.empty() ? b.thread_seconds : busy);
   b.p_imb = t_median > 0.0 ? gflops(m, t_median) : b.p_csr;
 
-  // P_ML: the regularized-colind kernel.
-  const auto reg_colind = kernels::regularized_colind(m);
-  const Repetitions ml = time_repetitions(
-      [&] { kernels::spmv_with_colind(m, reg_colind, x, y, parts); }, options.iterations);
+  // P_ML: regularized column indices.
+  const Repetitions ml = time_bound(kernels::XAccess::kRegularized).first;
   reps.ml = ml.count;
   b.p_ml = gflops(m, ml.best);
 
-  // P_CMP: the unit-stride kernel.
-  const Repetitions cmp = time_repetitions(
-      [&] { kernels::spmv_unit_stride(m, x, y, parts); }, options.iterations);
+  // P_CMP: unit-stride x.
+  const Repetitions cmp = time_bound(kernels::XAccess::kUnitStride).first;
   reps.cmp = cmp.count;
   b.p_cmp = gflops(m, cmp.best);
 
@@ -112,7 +125,6 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
 OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options,
                            const ProfileThresholds& thresholds, const ImbPolicy& imb) {
   require_iterations(options);
-  const int threads = resolve_threads(options);
   OptimizationPlan plan;
   plan.strategy = "profile-host";
   std::vector<obs::PhaseCost> phases;
@@ -142,7 +154,8 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
   double measure_seconds = 0.0;
   const auto prepare_and_measure = [&](const kernels::KernelConfig& config) {
     const Timer prepare;
-    prepared.emplace(m, kernels::SpmvOptions{.config = config, .threads = threads});
+    prepared.emplace(m, kernels::SpmvOptions{.config = config,
+                                             .threads = std::max(options.threads, 0)});
     prepare_seconds += prepare.seconds();
     plan.t_pre_seconds = preprocessing.seconds();
     const Timer measure;

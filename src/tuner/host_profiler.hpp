@@ -3,10 +3,13 @@
 // mode a downstream user of the library cares about. The modeled platforms
 // (sim/) reproduce the paper's testbeds; this module applies the identical
 // bound-and-bottleneck pipeline to live hardware:
-//   P_CSR / P_IMB — timed baseline run with per-thread durations
-//   P_ML          — timed run of the regularized-colind kernel
-//   P_CMP         — timed run of the unit-stride kernel
+//   P_CSR / P_IMB — timed baseline plan with per-thread durations
+//   P_ML          — timed plan with KernelConfig::x_access = kRegularized
+//   P_CMP         — timed plan with KernelConfig::x_access = kUnitStride
 //   P_MB / P_peak — analytic, anchored on the measured STREAM bandwidth
+// The three plans are kernels::PreparedSpmv plans, prepared one at a time
+// over one pair of operands; each repetition is one region of
+// plan.threads() threads in which every thread times its own run_team call.
 // classify_profile() then consumes the measured bounds unchanged.
 #pragma once
 

@@ -216,6 +216,45 @@ TEST(EngineEdge, RejectsShapeMismatch) {
   EXPECT_THROW(rect_eng.bicgstab(b2, x2), std::invalid_argument);
 }
 
+TEST(EngineEdge, RejectsBoundMicrobenchmarkPlans) {
+  // A bound plan computes x[i] * (sum of row i), not A x.
+  const CsrMatrix a = gen::stencil5(10, 10);
+  for (const auto access : {sim::XAccess::kRegularized, sim::XAccess::kUnitStride}) {
+    sim::KernelConfig cfg;
+    cfg.x_access = access;
+    EXPECT_THROW(engine::SolverEngine(a, cfg), std::invalid_argument) << cfg.describe();
+    const auto plan = std::make_shared<const kernels::PreparedSpmv>(
+        a, kernels::SpmvOptions{.config = cfg, .threads = 2});
+    EXPECT_THROW(engine::SolverEngine(a, plan), std::invalid_argument) << cfg.describe();
+  }
+}
+
+TEST(EngineEdge, RejectsNegativeMaxIterations) {
+  const CsrMatrix a = gen::stencil5(10, 10);
+  const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 506);
+  const bool saved = obs::enabled();
+  for (const bool telemetry : {true, false}) {
+    SCOPED_TRACE(telemetry ? "telemetry on" : "telemetry off");
+    obs::set_enabled(telemetry);
+    const engine::EngineOptions bad{.max_iterations = -1};
+    EXPECT_THROW(engine::SolverEngine(a, sim::KernelConfig{}, bad), std::invalid_argument);
+    EXPECT_THROW(
+        engine::SolverEngine(a, std::make_shared<const kernels::PreparedSpmv>(a), bad),
+        std::invalid_argument);
+    // Zero is a valid cap: both methods return before the first iteration.
+    const engine::SolverEngine eng{a, sim::KernelConfig{},
+                                   engine::EngineOptions{.max_iterations = 0}};
+    for (const bool cg : {true, false}) {
+      SCOPED_TRACE(cg ? "cg" : "bicgstab");
+      aligned_vector<value_t> x(b.size(), 0.0);
+      const auto r = cg ? eng.cg(b, x) : eng.bicgstab(b, x);
+      EXPECT_EQ(r.iterations, 0);
+      EXPECT_FALSE(r.converged);
+    }
+  }
+  obs::set_enabled(saved);
+}
+
 TEST(EngineEdge, MaxIterationsCapsWork) {
   const CsrMatrix a = gen::stencil5(30, 30);
   const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 505);

@@ -1,7 +1,7 @@
-// Tests for the host profiling path: real timed bounds, the timed baseline
-// kernel, and end-to-end host tuning. These run real kernels on whatever
-// machine executes the suite, so assertions stick to invariants that hold
-// regardless of the hardware.
+// Tests for the host profiling path: real timed bounds, the per-thread
+// baseline times, and end-to-end host tuning. These run real kernels on
+// whatever machine executes the suite, so assertions stick to invariants
+// that hold regardless of the hardware.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -11,7 +11,6 @@
 #include "common/timer.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "kernels/spmv_timed.hpp"
 #include "tuner/host_profiler.hpp"
 
 namespace sparta {
@@ -26,23 +25,18 @@ std::vector<double> repetition_counts(const OptimizationPlan& plan) {
   return counts;
 }
 
-TEST(SpmvTimed, ProducesCorrectResultAndTimings) {
+TEST(HostBounds, ThreadTimesCoverEveryThread) {
   const CsrMatrix m = gen::banded(4000, 100, 8, 801);
-  aligned_vector<value_t> x(static_cast<std::size_t>(m.ncols()), 1.0);
-  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  const auto parts = partition_balanced_nnz(m, 4);
-  const auto run = kernels::spmv_csr_timed(m, x, y, parts);
-
-  aligned_vector<value_t> want(y.size());
-  spmv_reference(m, x, want);
-  for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], want[i], 1e-12);
-
-  EXPECT_GT(run.seconds, 0.0);
-  ASSERT_EQ(run.thread_seconds.size(), 4u);
-  for (double t : run.thread_seconds) {
+  HostProfileOptions opts;
+  opts.threads = 4;
+  opts.iterations = 3;
+  const auto b = measure_bounds_host(m, opts);
+  EXPECT_GT(b.t_csr_seconds, 0.0);
+  ASSERT_EQ(b.thread_seconds.size(), 4u);
+  for (double t : b.thread_seconds) {
     EXPECT_GE(t, 0.0);
-    // A partition's busy time cannot exceed the total by more than noise.
-    EXPECT_LE(t, run.seconds * 4.0 + 1e-3);
+    // A thread's busy time cannot exceed the region's by more than noise.
+    EXPECT_LE(t, b.t_csr_seconds * 4.0 + 1e-3);
   }
 }
 

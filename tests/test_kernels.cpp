@@ -2,15 +2,19 @@
 // prepared as a kernels::PreparedSpmv plan, must reproduce the reference
 // SpMV on a battery of matrix families at 1, 4 and 37 threads, and the
 // registry must dispatch every KernelConfig the tuner can emit (all 15
-// sweep sets x schedules).
+// sweep sets x schedules) and the paper's two bound micro-benchmark plans.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "kernels/microbench_kernels.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/delta_csr.hpp"
 #include "tuner/optimizations.hpp"
@@ -147,57 +151,117 @@ INSTANTIATE_TEST_SUITE_P(
                          }}),
     [](const auto& info) { return std::string{info.param.name}; });
 
-// --- Micro-benchmark kernels ----------------------------------------------
+// --- Bound micro-benchmark plans (paper SIII-B) ----------------------------
 
-TEST(MicrobenchKernels, RegularizedColindHasRowIndices) {
-  const CsrMatrix m = gen::banded(200, 20, 6, 310);
-  const auto colind = kernels::regularized_colind(m);
-  ASSERT_EQ(colind.size(), static_cast<std::size_t>(m.nnz()));
-  for (index_t i = 0; i < m.nrows(); ++i) {
-    for (offset_t j = m.rowptr()[static_cast<std::size_t>(i)];
-         j < m.rowptr()[static_cast<std::size_t>(i) + 1]; ++j) {
-      EXPECT_EQ(colind[static_cast<std::size_t>(j)], i);
+sim::KernelConfig bound_config(sim::XAccess access) {
+  sim::KernelConfig cfg;
+  cfg.x_access = access;
+  return cfg;
+}
+
+class BoundPlans : public ::testing::TestWithParam<sim::XAccess> {};
+
+TEST_P(BoundPlans, ComputeRowScaledSums) {
+  // Both bounds keep A's values but address x at the row index:
+  // Y[i] = alpha * X[i] * sum(row i) + beta * Y[i].
+  const CsrMatrix m = gen::banded(300, 30, 7, 311);
+  const auto n = static_cast<std::size_t>(m.nrows());
+  for (const auto& [threads, first_touch] : {std::pair{1, false}, std::pair{4, false},
+                                             std::pair{4, true}}) {
+    const kernels::PreparedSpmv plan{
+        m, kernels::SpmvOptions{
+               .config = bound_config(GetParam()), .threads = threads, .first_touch = first_touch}};
+    ASSERT_EQ(plan.first_touch_applied(), first_touch);
+    for (const index_t width : {1, 3, 8}) {
+      for (const auto& [alpha, beta] : {std::pair{1.0, 0.0}, std::pair{1.5, 0.25}}) {
+        SCOPED_TRACE(plan.config().describe() + " at " + std::to_string(threads) +
+                     " threads, first touch " + std::to_string(first_touch) + ", width " +
+                     std::to_string(width) + ", alpha " + std::to_string(alpha));
+        const auto w = static_cast<std::size_t>(width);
+        const auto x = random_vector(n * w, 312);
+        const auto y0 = random_vector(n * w, 313);
+        aligned_vector<value_t> y = y0;
+        plan.run({x.data(), m.nrows(), width, width}, {y.data(), m.nrows(), width, width}, alpha,
+                 beta);
+        for (index_t i = 0; i < m.nrows(); ++i) {
+          value_t row_sum = 0.0;
+          for (value_t v : m.row_vals(i)) row_sum += v;
+          for (std::size_t c = 0; c < w; ++c) {
+            const std::size_t k = static_cast<std::size_t>(i) * w + c;
+            ASSERT_NEAR(y[k], alpha * x[k] * row_sum + beta * y0[k], 1e-10)
+                << "row " << i << " column " << c;
+          }
+        }
+      }
     }
   }
 }
 
-TEST(MicrobenchKernels, RegularizedKernelComputesRowScaledSums) {
-  // With colind := i, y[i] = x[i] * sum(row values).
-  const CsrMatrix m = gen::banded(300, 30, 7, 311);
-  const auto colind = kernels::regularized_colind(m);
-  const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 312);
-  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  const auto parts = partition_balanced_nnz(m, 3);
-  kernels::spmv_with_colind(m, colind, x, y, parts);
-  for (index_t i = 0; i < m.nrows(); ++i) {
-    value_t row_sum = 0.0;
-    for (value_t v : m.row_vals(i)) row_sum += v;
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)], row_sum * x[static_cast<std::size_t>(i)], 1e-10);
+TEST_P(BoundPlans, RunTeamFusesDotOverOwnedRows) {
+  const CsrMatrix m = gen::random_uniform(400, 10, 314);
+  const auto x = random_vector(static_cast<std::size_t>(m.nrows()), 315);
+  const auto w = random_vector(static_cast<std::size_t>(m.nrows()), 316);
+  const kernels::PreparedSpmv plan{
+      m, kernels::SpmvOptions{.config = bound_config(GetParam()), .threads = 4}};
+  aligned_vector<value_t> y(x.size(), 0.0);
+  std::vector<double> partial(4, 0.0);
+#pragma omp parallel num_threads(4) default(none) shared(plan, x, y, w, partial)
+  partial[static_cast<std::size_t>(omp_get_thread_num())] =
+      plan.run_team(kernels::ConstDenseBlockView::from_vector(x),
+                    kernels::DenseBlockView::from_vector(y), 1.0, 0.0, w);
+  aligned_vector<value_t> want(y.size());
+  plan.run(x, want);
+  EXPECT_EQ(y, want);
+  const auto parts = plan.region_parts();
+  for (std::size_t t = 0; t < parts.size(); ++t) {
+    double dot = 0.0;
+    for (index_t i = parts[t].begin; i < parts[t].end; ++i) {
+      dot += w[static_cast<std::size_t>(i)] * y[static_cast<std::size_t>(i)];
+    }
+    EXPECT_NEAR(partial[t], dot, 1e-12 * (1.0 + std::abs(dot))) << "thread " << t;
   }
 }
 
-TEST(MicrobenchKernels, CustomColindMatchesReferenceWhenUnmodified) {
-  const CsrMatrix m = gen::random_uniform(400, 10, 313);
-  const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 314);
-  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  aligned_vector<value_t> want(static_cast<std::size_t>(m.nrows()));
-  spmv_reference(m, x, want);
-  const auto parts = partition_balanced_nnz(m, 4);
-  kernels::spmv_with_colind(m, m.colind(), x, y, parts);
-  expect_near(y, want, 1e-12);
+TEST_P(BoundPlans, RejectFormatRewritesAndShortX) {
+  const CsrMatrix m = gen::banded(200, 20, 6, 317);
+  for (const auto rewrite : {&sim::KernelConfig::delta, &sim::KernelConfig::symmetric,
+                             &sim::KernelConfig::decomposed}) {
+    sim::KernelConfig cfg = bound_config(GetParam());
+    cfg.*rewrite = true;
+    EXPECT_THROW(kernels::PreparedSpmv(m, kernels::SpmvOptions{.config = cfg, .threads = 2}),
+                 std::invalid_argument)
+        << cfg.describe();
+  }
+  // A bound reads x at the row indices, so a tall matrix needs nrows of x.
+  const CsrMatrix tall = gen::banded(300, 20, 6, 318).slice_rows(0, 200).transpose();
+  ASSERT_GT(tall.nrows(), tall.ncols());
+  const kernels::PreparedSpmv plan{
+      tall, kernels::SpmvOptions{.config = bound_config(GetParam()), .threads = 2}};
+  aligned_vector<value_t> x(static_cast<std::size_t>(tall.ncols()), 1.0);
+  aligned_vector<value_t> y(static_cast<std::size_t>(tall.nrows()));
+  EXPECT_THROW(plan.run(x, y), std::invalid_argument);
+  x.resize(y.size(), 1.0);
+  EXPECT_NO_THROW(plan.run(x, y));
 }
 
-TEST(MicrobenchKernels, UnitStrideKernelComputesRowScaledSums) {
-  const CsrMatrix m = gen::banded(300, 30, 7, 315);
-  const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 316);
-  aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
-  const auto parts = partition_balanced_nnz(m, 3);
-  kernels::spmv_unit_stride(m, x, y, parts);
-  for (index_t i = 0; i < m.nrows(); ++i) {
-    value_t row_sum = 0.0;
-    for (value_t v : m.row_vals(i)) row_sum += v;
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)], row_sum * x[static_cast<std::size_t>(i)], 1e-10);
-  }
+INSTANTIATE_TEST_SUITE_P(MlAndCmp, BoundPlans,
+                         ::testing::Values(sim::XAccess::kRegularized,
+                                           sim::XAccess::kUnitStride),
+                         [](const auto& info) {
+                           return info.param == sim::XAccess::kRegularized ? "Regularized"
+                                                                          : "UnitStride";
+                         });
+
+TEST(BoundPlans, UnitStrideStreamsNoColumnIndices) {
+  const CsrMatrix m = gen::banded(500, 24, 7, 319);
+  const kernels::PreparedSpmv base{m, kernels::SpmvOptions{.threads = 2}};
+  const kernels::PreparedSpmv ml{
+      m, kernels::SpmvOptions{.config = bound_config(sim::XAccess::kRegularized), .threads = 2}};
+  const kernels::PreparedSpmv cmp{
+      m, kernels::SpmvOptions{.config = bound_config(sim::XAccess::kUnitStride), .threads = 2}};
+  EXPECT_DOUBLE_EQ(ml.bytes_per_run(1), base.bytes_per_run(1));
+  EXPECT_DOUBLE_EQ(base.bytes_per_run(1) - cmp.bytes_per_run(1),
+                   static_cast<double>(m.nnz()) * sizeof(index_t));
 }
 
 // --- Registry: every sweep config must run correctly ----------------------
