@@ -5,8 +5,8 @@
 // share every interface above the kernel layer.
 //
 // Columns: baseline CSR, each single optimization, the host profile-guided
-// plan, and the measured oracle (best single config). Rates are GFLOP/s
-// measured over repeated warm runs.
+// plan (with its classes and the kernel it runs), and the measured oracle
+// (best single config). Rates are GFLOP/s measured over repeated warm runs.
 #include <omp.h>
 
 #include <iostream>
@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
     opts.stream = &probe;
     const auto plan = tune_host(m, opts);
     best = std::max(best, plan.gflops);
-    row.push_back(Table::num(plan.gflops) + " " + to_string(plan.classes));
+    row.push_back(Table::num(plan.gflops) + " " + to_string(plan.classes) + " " +
+                  plan.config.describe());
     row.push_back(Table::num(best));
     table.add_row(std::move(row));
   }

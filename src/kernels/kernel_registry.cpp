@@ -435,6 +435,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
     auto d = DecomposedCsrMatrix::decompose(a, /*threshold=*/0, threads);
     if (!d.long_rows().empty()) p.decomposed = std::move(d);
   }
+  decomposed_applied_ = p.decomposed.has_value();
   if (symmetric_applied_) {
     p.phases = Phases::kSymmetric;
   } else if (p.decomposed) {

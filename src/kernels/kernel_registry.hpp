@@ -127,6 +127,11 @@ class PreparedSpmv {
   /// the matrix turned out not to be exactly symmetric (the build falls
   /// back to the general kernels, like an incompressible delta config).
   [[nodiscard]] bool symmetric_applied() const { return symmetric_applied_; }
+  /// Whether the plan runs the long-row phases. False when the config never
+  /// asked for decomposition, next to an applied delta, or on a matrix with
+  /// no row above DecomposedCsrMatrix::default_threshold: those plans run
+  /// the one-phase row plan.
+  [[nodiscard]] bool decomposed_applied() const { return decomposed_applied_; }
   [[nodiscard]] bool first_touch_applied() const { return first_touch_applied_; }
   /// The operand-width hint the plan was prepared with (>= 1).
   [[nodiscard]] int block_width() const { return block_width_; }
@@ -149,6 +154,7 @@ class PreparedSpmv {
   double prep_seconds_ = 0.0;
   bool delta_applied_ = false;
   bool symmetric_applied_ = false;
+  bool decomposed_applied_ = false;
   bool first_touch_applied_ = false;
   double matrix_bytes_ = 0.0;
   double vector_bytes_per_column_ = 0.0;

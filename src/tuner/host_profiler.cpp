@@ -141,7 +141,9 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     const obs::ScopedPhase phase{phases, "features"};
     plan.classes = classify_profile(bounds, thresholds);
     features = extract_features(m);
-    plan.optimizations = select_optimizations(plan.classes, features, imb);
+    // Uneven rows are split before the rider and the one measurement, so
+    // the plan measured is the plan returned (see host_profiler.hpp).
+    plan.optimizations = select_host_optimizations(plan.classes, features, imb);
     plan.config = config_for(plan.optimizations);
   }
 
@@ -200,6 +202,8 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     t->extra.emplace_back("symmetric_applied", symmetric_applied ? 1.0 : 0.0);
     t->extra.emplace_back("symmetric_kept", plan.config.symmetric ? 1.0 : 0.0);
     t->extra.emplace_back("symmetric_mean_seconds", symmetric_mean);
+    t->extra.emplace_back("uneven_rows", has_uneven_rows(features, imb) ? 1.0 : 0.0);
+    t->extra.emplace_back("decomposed_applied", prepared->decomposed_applied() ? 1.0 : 0.0);
     plan.trace = std::move(t);
   }
   return plan;

@@ -26,8 +26,9 @@ struct HostProfileOptions {
   /// sum to a fixed 0.25 s budget: at least min(3, iterations) times, at
   /// most `iterations` times. (The paper times a fixed 64 runs.)
   int iterations = 16;
-  /// Reuse a previous STREAM probe instead of re-measuring (probe costs
-  /// tens of ms; pass the result when profiling many matrices).
+  /// Reuse a previous STREAM probe instead of re-measuring (one probe
+  /// costs about 12-25 ms on a 4-vCPU VM; pass the result when profiling
+  /// many matrices).
   const StreamResult* stream = nullptr;
   /// Matrix label recorded in the trace.
   std::string name{};
@@ -46,6 +47,16 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
 /// preprocessing cost (profiling + conversion), so the amortization formula
 /// can be applied to live data.
 ///
+/// Long-row split: the optimizations come from select_host_optimizations,
+/// so a matrix that passes the uneven-rows test (has_uneven_rows: nnz_max /
+/// nnz_avg above `imb.uneven_row_ratio`) gets long-row decomposition unless
+/// MB selected delta, whatever its P_IMB reading. The rule runs before the
+/// symmetric rider, which decomposition excludes, and before the one
+/// measurement. It reads the ratio, not "some row is above the long-row
+/// threshold": that rule would also split power-law matrices whose hubs
+/// are hundreds of average rows, where the split did not shorten
+/// perfbench's k = 8 sweeps (DESIGN.md §10).
+///
 /// Symmetric-storage rider (the simulated Autotuner::plan has the same): on
 /// a square matrix whose selected config allows symmetric storage
 /// (KernelConfig::allows_symmetric), the symmetric plan is prepared first.
@@ -61,7 +72,10 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
 /// symmetric_applied (the build accepted the matrix), symmetric_kept (the
 /// returned config.symmetric) and symmetric_mean_seconds (the symmetric
 /// plan's mean repetition, 0 when none was built; compare t_csr_seconds in
-/// `bounds`). Throws std::invalid_argument when `options.iterations` < 1.
+/// `bounds`), the uneven-rows test's outcome (uneven_rows) and whether the
+/// plan measured last runs the long-row phases
+/// (PreparedSpmv::decomposed_applied). Throws std::invalid_argument when
+/// `options.iterations` < 1.
 OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options = {},
                            const ProfileThresholds& thresholds = {},
                            const ImbPolicy& imb = {});

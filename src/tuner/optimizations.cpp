@@ -36,17 +36,33 @@ Bottleneck target_class(Optimization o) {
   return Bottleneck::kMB;
 }
 
+bool has_uneven_rows(const FeatureVector& fv, const ImbPolicy& policy) {
+  return fv[Feature::kNnzMax] / std::max(fv[Feature::kNnzAvg], 1.0) > policy.uneven_row_ratio;
+}
+
 std::vector<Optimization> select_optimizations(BottleneckSet classes, const FeatureVector& fv,
                                                const ImbPolicy& policy) {
   std::vector<Optimization> out;
   if (classes.contains(Bottleneck::kMB)) out.push_back(Optimization::kDeltaVec);
   if (classes.contains(Bottleneck::kML)) out.push_back(Optimization::kPrefetch);
   if (classes.contains(Bottleneck::kIMB)) {
-    const double avg = std::max(fv[Feature::kNnzAvg], 1.0);
-    const bool uneven_rows = fv[Feature::kNnzMax] / avg > policy.uneven_row_ratio;
-    out.push_back(uneven_rows ? Optimization::kDecompose : Optimization::kAutoSched);
+    out.push_back(has_uneven_rows(fv, policy) ? Optimization::kDecompose
+                                              : Optimization::kAutoSched);
   }
   if (classes.contains(Bottleneck::kCMP)) out.push_back(Optimization::kUnrollVec);
+  return out;
+}
+
+std::vector<Optimization> select_host_optimizations(BottleneckSet classes,
+                                                    const FeatureVector& fv,
+                                                    const ImbPolicy& policy) {
+  std::vector<Optimization> out = select_optimizations(classes, fv, policy);
+  // MB's delta keeps precedence; IMB on uneven rows has decomposed already.
+  if (has_uneven_rows(fv, policy) && !classes.contains(Bottleneck::kMB) &&
+      !classes.contains(Bottleneck::kIMB)) {
+    out.insert(std::lower_bound(out.begin(), out.end(), Optimization::kDecompose),
+               Optimization::kDecompose);
+  }
   return out;
 }
 

@@ -38,6 +38,8 @@ Bottleneck target_class(Optimization o);
 /// Sub-selection policy for the IMB class: decomposition when the matrix
 /// has highly uneven row lengths (nnz_max >> nnz_avg), auto scheduling for
 /// computational unevenness (detected via bw_sd). Thresholds per §III-E.
+/// The host tuner also reads it to split uneven rows whatever the IMB
+/// class reads (select_host_optimizations).
 struct ImbPolicy {
   /// decompose when nnz_max / max(nnz_avg, 1) exceeds this. The value
   /// separates circuit-style matrices (a dense row is worth thousands of
@@ -47,10 +49,23 @@ struct ImbPolicy {
   double uneven_row_ratio = 1000.0;
 };
 
+/// The uneven-rows test of §III-E: nnz_max / max(nnz_avg, 1) exceeds
+/// `policy.uneven_row_ratio`.
+bool has_uneven_rows(const FeatureVector& fv, const ImbPolicy& policy = {});
+
 /// Map a detected class set (+ features, for the IMB sub-selection) to the
 /// jointly-applied optimizations, in canonical enum order.
 std::vector<Optimization> select_optimizations(BottleneckSet classes, const FeatureVector& fv,
                                                const ImbPolicy& policy = {});
+
+/// The host tuner's mapping: select_optimizations, plus long-row
+/// decomposition on every matrix with uneven rows unless delta was
+/// selected. The split is structural: on the host a few dense rows set the
+/// slowest thread's time whether or not one noisy P_IMB reading crosses
+/// T_IMB. Canonical enum order.
+std::vector<Optimization> select_host_optimizations(BottleneckSet classes,
+                                                    const FeatureVector& fv,
+                                                    const ImbPolicy& policy = {});
 
 /// Compose optimizations into a single kernel configuration.
 sim::KernelConfig config_for(const std::vector<Optimization>& os);

@@ -8,13 +8,38 @@
 #include <string>
 #include <vector>
 
+#include "check/validate_tuner.hpp"
 #include "common/timer.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
+#include "sparse/decomposed_csr.hpp"
 #include "tuner/host_profiler.hpp"
 
 namespace sparta {
 namespace {
+
+/// tune_host with the trace on, checked for what every returned plan owes:
+/// a consistent plan whose trace names the config returned.
+OptimizationPlan checked_tune(const CsrMatrix& m, HostProfileOptions opts,
+                              const ProfileThresholds& thresholds = {}) {
+  opts.collect_trace = true;
+  auto plan = tune_host(m, opts, thresholds);
+  EXPECT_NO_THROW(check::validate(plan));
+  EXPECT_NE(plan.trace, nullptr);
+  if (plan.trace) {
+    EXPECT_EQ(plan.trace->config, plan.config.describe());
+  }
+  return plan;
+}
+
+/// Thresholds that keep the MB and IMB classes (delta, and the IMB arms)
+/// out of the plan whatever this host measures.
+ProfileThresholds no_mb_imb() {
+  ProfileThresholds t;
+  t.t_imb = 1e30;
+  t.approx = 1e30;
+  return t;
+}
 
 /// Timed repetitions tune_host recorded for each of its four kernels.
 std::vector<double> repetition_counts(const OptimizationPlan& plan) {
@@ -83,14 +108,19 @@ TEST(HostTune, ReturnsExecutablePlanWithRealCosts) {
   HostProfileOptions opts;
   opts.threads = 2;
   opts.iterations = 3;
-  const auto plan = tune_host(m, opts);
+  const auto plan = checked_tune(m, opts);
   EXPECT_EQ(plan.strategy, "profile-host");
   EXPECT_GT(plan.gflops, 0.0);
   EXPECT_GT(plan.t_spmv_seconds, 0.0);
   EXPECT_GT(plan.t_pre_seconds, 0.0);
-  // The plan's optimizations must be consistent with its classes.
+  // Each optimization answers a detected class, except the structural
+  // long-row split of uneven rows where delta was not selected.
+  const bool split = has_uneven_rows(extract_features(m)) &&
+                     !plan.classes.contains(Bottleneck::kMB);
   for (Optimization o : plan.optimizations) {
-    EXPECT_TRUE(plan.classes.contains(target_class(o)));
+    EXPECT_TRUE(plan.classes.contains(target_class(o)) ||
+                (o == Optimization::kDecompose && split))
+        << to_string(o);
   }
 }
 
@@ -101,8 +131,44 @@ TEST(HostTune, EmptyClassSetKeepsBaselineConfig) {
   HostProfileOptions opts;
   opts.threads = 2;
   opts.iterations = 2;
-  const auto plan = tune_host(m, opts);
+  const auto plan = checked_tune(m, opts);
   EXPECT_GT(plan.gflops, 0.0);
+}
+
+TEST(HostTune, SplitsCircuitRowsWithoutTheImbClass) {
+  // nnz_max / nnz_avg in the thousands: the long rows are split although
+  // the thresholds keep IMB out of the classes.
+  const CsrMatrix m =
+      gen::make_diagonally_dominant(gen::circuit_like(30000, 3, 4, 25000, 810), 811);
+  HostProfileOptions opts;
+  opts.threads = 2;
+  opts.iterations = 3;
+  const auto plan = checked_tune(m, opts, no_mb_imb());
+  EXPECT_FALSE(plan.classes.contains(Bottleneck::kIMB));
+  EXPECT_TRUE(plan.config.decomposed) << plan.config.describe();
+  ASSERT_NE(plan.trace, nullptr);
+  EXPECT_EQ(plan.trace->value_or_zero("uneven_rows"), 1.0);
+  EXPECT_EQ(plan.trace->value_or_zero("decomposed_applied"), 1.0);
+  EXPECT_EQ(plan.trace->value_or_zero("symmetric_tried"), 0.0);
+  const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = plan.config,
+                                                               .threads = 2}};
+  EXPECT_TRUE(prepared.decomposed_applied());
+}
+
+TEST(HostTune, LeavesPowerLawHubsUnsplit) {
+  // Rows above the long-row threshold, but a ratio below ImbPolicy's: the
+  // ratio test, not the threshold, decides the split.
+  const CsrMatrix m = gen::powerlaw(20000, 1.8, 2000, 812);
+  ASSERT_FALSE(DecomposedCsrMatrix::decompose(m).long_rows().empty());
+  ASSERT_FALSE(has_uneven_rows(extract_features(m)));
+  HostProfileOptions opts;
+  opts.threads = 2;
+  opts.iterations = 3;
+  const auto plan = checked_tune(m, opts, no_mb_imb());
+  EXPECT_FALSE(plan.config.decomposed) << plan.config.describe();
+  ASSERT_NE(plan.trace, nullptr);
+  EXPECT_EQ(plan.trace->value_or_zero("uneven_rows"), 0.0);
+  EXPECT_EQ(plan.trace->value_or_zero("decomposed_applied"), 0.0);
 }
 
 TEST(HostProfile, RejectsNonPositiveIterations) {
@@ -128,8 +194,7 @@ TEST(HostTune, SmallMatrixRunsEveryIteration) {
   HostProfileOptions opts;
   opts.threads = 2;
   opts.iterations = 5;
-  opts.collect_trace = true;
-  const auto plan = tune_host(m, opts);
+  const auto plan = checked_tune(m, opts);
   ASSERT_NE(plan.trace, nullptr);
   for (double n : repetition_counts(plan)) EXPECT_EQ(n, 5.0);
 }
@@ -141,9 +206,8 @@ TEST(HostTune, TimeBudgetBoundsRepetitions) {
   HostProfileOptions opts;
   opts.threads = 2;
   opts.iterations = 100000;
-  opts.collect_trace = true;
   const Timer t;
-  const auto plan = tune_host(m, opts);
+  const auto plan = checked_tune(m, opts);
   const double seconds = t.seconds();
   ASSERT_NE(plan.trace, nullptr);
   for (double n : repetition_counts(plan)) {
@@ -154,18 +218,13 @@ TEST(HostTune, TimeBudgetBoundsRepetitions) {
 }
 
 /// Tune `m` at 2 threads with the trace on. The thresholds keep the MB and
-/// IMB classes (delta, decomposition, dynamic schedule) out of the plan, so
-/// the symmetric rider's config gate opens whatever this host measures.
+/// IMB classes out of the plan, and none of these matrices has uneven rows,
+/// so the symmetric rider's config gate opens whatever this host measures.
 OptimizationPlan traced_tune(const CsrMatrix& m) {
   HostProfileOptions opts;
   opts.threads = 2;
   opts.iterations = 4;
-  opts.collect_trace = true;
-  ProfileThresholds no_mb_imb;
-  no_mb_imb.t_imb = 1e30;
-  no_mb_imb.approx = 1e30;
-  auto plan = tune_host(m, opts, no_mb_imb);
-  EXPECT_NE(plan.trace, nullptr);
+  auto plan = checked_tune(m, opts, no_mb_imb());
   EXPECT_TRUE(plan.config.allows_symmetric()) << plan.config.describe();
   return plan;
 }
@@ -181,7 +240,6 @@ TEST(HostTune, SymmetricRiderAppliesOnSpdStencil) {
   // returned config must say which plan was measured, and prepare to it.
   const bool kept = plan.trace->value_or_zero("symmetric_kept") == 1.0;
   EXPECT_EQ(plan.config.symmetric, kept);
-  EXPECT_EQ(plan.trace->config, plan.config.describe());
   const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = plan.config,
                                                                .threads = 2}};
   EXPECT_EQ(prepared.symmetric_applied(), plan.config.symmetric);

@@ -308,6 +308,25 @@ TEST(Registry, DeltaFallbackOnIncompressibleMatrix) {
   expect_near(y, want, 1e-12);
 }
 
+TEST(Registry, DecomposedAppliedOnlyWhereLongRowsRun) {
+  sim::KernelConfig cfg;
+  cfg.decomposed = true;
+  const auto applied = [](const CsrMatrix& m, const sim::KernelConfig& c) {
+    return kernels::PreparedSpmv{m, kernels::SpmvOptions{.config = c, .threads = 4}}
+        .decomposed_applied();
+  };
+  const CsrMatrix circuit = gen::circuit_like(30000, 3, 4, 25000, 325);
+  EXPECT_TRUE(applied(circuit, cfg));
+  EXPECT_FALSE(applied(circuit, sim::KernelConfig{}));
+  // No stencil row is above the long-row threshold: the row plan runs.
+  EXPECT_FALSE(applied(gen::stencil27(12, 12, 12), cfg));
+  // Next to an applied delta, the delta row plan runs.
+  sim::KernelConfig with_delta = cfg;
+  with_delta.delta = true;
+  ASSERT_TRUE(DeltaCsrMatrix::compress(circuit).has_value());
+  EXPECT_FALSE(applied(circuit, with_delta));
+}
+
 TEST(Registry, RejectsNegativeThreads) {
   const CsrMatrix m = gen::diagonal(10);
   EXPECT_THROW(kernels::PreparedSpmv(m, kernels::SpmvOptions{.threads = -1}),

@@ -62,6 +62,36 @@ TEST(SelectOptimizations, ImbSubSelectionUsesRowSkew) {
             (std::vector<Optimization>{Optimization::kAutoSched}));
 }
 
+TEST(SelectHostOptimizations, SplitsUnevenRowsUnlessDeltaWasSelected) {
+  using O = Optimization;
+  const auto uneven = features_of(gen::circuit_like(30000, 3, 4, 25000, 132));
+  const auto even = features_of(gen::banded(3000, 60, 8, 133));
+  ASSERT_TRUE(has_uneven_rows(uneven));
+  ASSERT_FALSE(has_uneven_rows(even));
+  const BottleneckSet cmp{Bottleneck::kCMP};
+  const BottleneckSet imb_cmp{Bottleneck::kIMB, Bottleneck::kCMP};
+  const BottleneckSet mb_cmp{Bottleneck::kMB, Bottleneck::kCMP};
+  // Uneven rows are split whatever the IMB class reads ...
+  EXPECT_EQ(select_host_optimizations(cmp, uneven),
+            (std::vector<O>{O::kDecompose, O::kUnrollVec}));
+  EXPECT_EQ(select_host_optimizations(imb_cmp, uneven),
+            (std::vector<O>{O::kDecompose, O::kUnrollVec}));
+  // ... unless MB selected delta, which keeps precedence.
+  EXPECT_EQ(select_host_optimizations(mb_cmp, uneven),
+            (std::vector<O>{O::kDeltaVec, O::kUnrollVec}));
+  // Even rows keep the paper's mapping: IMB still picks dynamic scheduling.
+  EXPECT_EQ(select_host_optimizations(cmp, even), (std::vector<O>{O::kUnrollVec}));
+  EXPECT_EQ(select_host_optimizations(imb_cmp, even),
+            (std::vector<O>{O::kAutoSched, O::kUnrollVec}));
+  EXPECT_EQ(select_host_optimizations(mb_cmp, even),
+            (std::vector<O>{O::kDeltaVec, O::kUnrollVec}));
+  // The simulated mapping is unchanged: no split without the IMB class.
+  EXPECT_EQ(select_optimizations(cmp, uneven), (std::vector<O>{O::kUnrollVec}));
+  // A stricter policy leaves the same matrix unsplit.
+  EXPECT_EQ(select_host_optimizations(cmp, uneven, ImbPolicy{.uneven_row_ratio = 1e9}),
+            (std::vector<O>{O::kUnrollVec}));
+}
+
 TEST(SelectOptimizations, JointApplication) {
   const auto fv = features_of(gen::random_uniform(1000, 10, 134));
   const auto ops = select_optimizations({Bottleneck::kML, Bottleneck::kIMB}, fv);
