@@ -553,6 +553,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   } else {
     p.block_rows = csr_block_table<&Prepared::view>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
     p.local_dot = pick<LocalCsrDot>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
+    prefetch_applied_ = cfg.prefetch && !symmetric_applied_;
   }
   if (p.decomposed) {
     p.slice_rows =

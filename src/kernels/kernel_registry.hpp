@@ -132,6 +132,11 @@ class PreparedSpmv {
   /// no row above DecomposedCsrMatrix::default_threshold: those plans run
   /// the one-phase row plan.
   [[nodiscard]] bool decomposed_applied() const { return decomposed_applied_; }
+  /// Whether the plan runs the prefetching CSR row bodies. False when the
+  /// config never asked for a prefetch, next to an applied delta, on
+  /// symmetric storage and on the unit-stride bound: those kernels issue
+  /// no prefetch.
+  [[nodiscard]] bool prefetch_applied() const { return prefetch_applied_; }
   [[nodiscard]] bool first_touch_applied() const { return first_touch_applied_; }
   /// The operand-width hint the plan was prepared with (>= 1).
   [[nodiscard]] int block_width() const { return block_width_; }
@@ -155,6 +160,7 @@ class PreparedSpmv {
   bool delta_applied_ = false;
   bool symmetric_applied_ = false;
   bool decomposed_applied_ = false;
+  bool prefetch_applied_ = false;
   bool first_touch_applied_ = false;
   double matrix_bytes_ = 0.0;
   double vector_bytes_per_column_ = 0.0;

@@ -5,7 +5,8 @@
 // optimization pool:
 //   Vectorize — #pragma omp simd on the inner loop (MB/CMP classes)
 //   Unroll    — 4-way manual unrolling (CMP class)
-//   Prefetch  — software prefetch of x[colind[j + dist]] into L1 (ML class)
+//   Prefetch  — software prefetch of x[colind[j + dist]], across row
+//               boundaries, into L2 (ML class)
 // The registry (kernel_registry.hpp) instantiates the eight combinations and
 // dispatches a KernelConfig to the right one. The delta-compressed loop has
 // one form: its column decode is a serial dependence, so a vectorized delta
@@ -44,16 +45,18 @@
 
 namespace sparta::kernels {
 
-/// Software prefetch distance in elements — one cache line of doubles, the
-/// fixed distance the paper uses.
-inline constexpr offset_t kPrefetchDistance = 8;
+/// Software prefetch distance in positions of the colind stream, measured:
+/// on perfbench's power-law matrix at k = 8, one-shot products shorten up
+/// to 48-64 and stay flat to 256 (0.78x the old within-row distance-8
+/// rule's time at 64). At k = 1, where the prefetch does not pay on these
+/// matrices, 64 cost least of 48-128 on a circuit matrix and a stencil
+/// (DESIGN.md §14).
+inline constexpr offset_t kPrefetchDistance = 64;
 
-/// Temporal-locality hint passed to every __builtin_prefetch of the x
-/// vector. The gathered x entries of an ML-class matrix are used once per
-/// row pass and rarely revisited soon, so the low-locality hint (evictable,
-/// avoid polluting higher cache levels) is applied uniformly — the prologue
-/// and steady-state prefetches used to disagree (3 vs 1) for no modeled
-/// reason.
+/// Temporal-locality hint passed to every __builtin_prefetch of the
+/// operand. Locality 1 emits prefetcht2 on x86, which fills L2 and the LLC
+/// but not L1: a gathered operand row is used once per pass, so it is
+/// fetched close to the core without evicting L1's working set.
 inline constexpr int kPrefetchLocality = 1;
 
 /// Non-owning view of the three CSR streams. The engine/registry paths read
@@ -88,33 +91,38 @@ inline DeltaView make_view(const DeltaCsrMatrix& a) {
 
 namespace detail {
 
-/// Row loop body for plain CSR. Raw SPARTA_RESTRICT pointers: the matrix
-/// streams and x are always distinct arrays, and promising that lets the
-/// vectorizer skip runtime overlap checks on the gather.
+/// Prefetch the operand row (x row colind[q], `ldx` apart) of colind
+/// position q if q lies inside the view: the one guard of the cross-row
+/// rule. The row bodies call it at position j with q = j +
+/// kPrefetchDistance, which may sit in a later row, so each position of a
+/// pass's share of the stream is prefetched once.
+inline void prefetch_operand(const index_t* SPARTA_RESTRICT colind,
+                             const value_t* SPARTA_RESTRICT x, std::size_t ldx, offset_t q,
+                             offset_t stream_end) {
+  if (q < stream_end) {
+    __builtin_prefetch(&x[static_cast<std::size_t>(colind[static_cast<std::size_t>(q)]) * ldx], 0,
+                       kPrefetchLocality);
+  }
+}
+
+/// Row loop body for plain CSR over colind positions [begin, end).
+/// `stream_end` is the view's nonzero count, the bound of the prefetch.
+/// Raw SPARTA_RESTRICT pointers: the matrix streams and x are always
+/// distinct arrays, and promising that lets the vectorizer skip runtime
+/// overlap checks on the gather.
 template <bool Vectorize, bool Unroll, bool Prefetch>
 inline value_t csr_row(const index_t* SPARTA_RESTRICT colind,
                        const value_t* SPARTA_RESTRICT values,
-                       const value_t* SPARTA_RESTRICT x, offset_t begin, offset_t end) {
+                       const value_t* SPARTA_RESTRICT x, offset_t begin, offset_t end,
+                       offset_t stream_end) {
   value_t acc = 0.0;
   offset_t j = begin;
-  if constexpr (Prefetch) {
-    // One prefetch per element, fixed distance (paper SIII-E).
-    for (offset_t p = begin; p < std::min(begin + kPrefetchDistance, end); ++p) {
-      __builtin_prefetch(&x[static_cast<std::size_t>(colind[static_cast<std::size_t>(p)])], 0,
-                         kPrefetchLocality);
-    }
-  }
   if constexpr (Unroll) {
     value_t a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
     for (; j + 4 <= end; j += 4) {
       if constexpr (Prefetch) {
-        if (j + kPrefetchDistance + 4 <= end) {
-          for (int u = 0; u < 4; ++u) {
-            __builtin_prefetch(
-                &x[static_cast<std::size_t>(
-                    colind[static_cast<std::size_t>(j + kPrefetchDistance + u)])],
-                0, kPrefetchLocality);
-          }
+        for (offset_t u = 0; u < 4; ++u) {
+          prefetch_operand(colind, x, 1, j + kPrefetchDistance + u, stream_end);
         }
       }
       const auto k = static_cast<std::size_t>(j);
@@ -125,10 +133,18 @@ inline value_t csr_row(const index_t* SPARTA_RESTRICT colind,
     }
     acc = (a0 + a1) + (a2 + a3);
     for (; j < end; ++j) {
+      if constexpr (Prefetch) prefetch_operand(colind, x, 1, j + kPrefetchDistance, stream_end);
       const auto k = static_cast<std::size_t>(j);
       acc += values[k] * x[static_cast<std::size_t>(colind[k])];
     }
   } else if constexpr (Vectorize) {
+    // A simd lane cannot issue a prefetch: the row's positions, shifted by
+    // the distance, are prefetched before the row is summed.
+    if constexpr (Prefetch) {
+      for (offset_t q = begin; q < end; ++q) {
+        prefetch_operand(colind, x, 1, q + kPrefetchDistance, stream_end);
+      }
+    }
 #pragma omp simd reduction(+ : acc)
     for (offset_t jj = begin; jj < end; ++jj) {
       const auto k = static_cast<std::size_t>(jj);
@@ -136,18 +152,21 @@ inline value_t csr_row(const index_t* SPARTA_RESTRICT colind,
     }
   } else {
     for (; j < end; ++j) {
+      if constexpr (Prefetch) prefetch_operand(colind, x, 1, j + kPrefetchDistance, stream_end);
       const auto k = static_cast<std::size_t>(j);
-      if constexpr (Prefetch) {
-        if (j + kPrefetchDistance < end) {
-          __builtin_prefetch(
-              &x[static_cast<std::size_t>(colind[static_cast<std::size_t>(j + kPrefetchDistance)])],
-              0, kPrefetchLocality);
-        }
-      }
       acc += values[k] * x[static_cast<std::size_t>(colind[k])];
     }
   }
   return acc;
+}
+
+/// The row body with its prefetch kept inside the row, for a caller that
+/// holds no view: the same sums, bit for bit.
+template <bool Vectorize, bool Unroll, bool Prefetch>
+inline value_t csr_row(const index_t* SPARTA_RESTRICT colind,
+                       const value_t* SPARTA_RESTRICT values,
+                       const value_t* SPARTA_RESTRICT x, offset_t begin, offset_t end) {
+  return csr_row<Vectorize, Unroll, Prefetch>(colind, values, x, begin, end, end);
 }
 
 /// Row loop body for delta-compressed CSR; Width is std::uint8_t or
@@ -175,22 +194,20 @@ inline value_t delta_row(index_t first_col, const Width* SPARTA_RESTRICT deltas,
 /// once per K multiply-adds. The K operand values x[col*ldx + c] are
 /// contiguous across c — the register-blocked SIMD axis — so the column loop
 /// is always vectorized; the scalar-path Vectorize/Unroll toggles only
-/// distinguish k = 1 code (see csr_rows_block).
+/// distinguish k = 1 code (see csr_rows_block). Each nonzero gathers a
+/// K-wide operand row, which is where the prefetch pays (`stream_end` as
+/// in csr_row).
 template <index_t K, bool Prefetch>
 inline void csr_row_block(const index_t* SPARTA_RESTRICT colind,
                           const value_t* SPARTA_RESTRICT values,
                           const value_t* SPARTA_RESTRICT x, index_t ldx, offset_t begin,
-                          offset_t end, value_t* SPARTA_RESTRICT acc) {
+                          offset_t end, offset_t stream_end, value_t* SPARTA_RESTRICT acc) {
   for (index_t c = 0; c < K; ++c) acc[c] = 0.0;
   for (offset_t j = begin; j < end; ++j) {
     const auto k = static_cast<std::size_t>(j);
     if constexpr (Prefetch) {
-      if (j + kPrefetchDistance < end) {
-        __builtin_prefetch(
-            &x[static_cast<std::size_t>(colind[static_cast<std::size_t>(j + kPrefetchDistance)]) *
-               static_cast<std::size_t>(ldx)],
-            0, kPrefetchLocality);
-      }
+      prefetch_operand(colind, x, static_cast<std::size_t>(ldx), j + kPrefetchDistance,
+                       stream_end);
     }
     const value_t v = values[k];
     const value_t* SPARTA_RESTRICT xr =
@@ -264,6 +281,7 @@ template <index_t K, bool Vectorize, bool Unroll, bool Prefetch>
 inline void csr_rows_block(const CsrView& a, ConstDenseBlockView x, DenseBlockView y,
                            value_t alpha, value_t beta, RowRange r) {
   const bool plain = alpha == 1.0 && beta == 0.0;
+  const auto nnz = static_cast<offset_t>(a.colind.size());
   if constexpr (K == 1) {
     if (x.stride == 1) {
       const index_t* const colind = a.colind.data();
@@ -271,15 +289,15 @@ inline void csr_rows_block(const CsrView& a, ConstDenseBlockView x, DenseBlockVi
       if (plain) {
         for (index_t i = r.begin; i < r.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          *y.row(i) = detail::csr_row<Vectorize, Unroll, Prefetch>(colind, values, x.data,
-                                                                   a.rowptr[k], a.rowptr[k + 1]);
+          *y.row(i) = detail::csr_row<Vectorize, Unroll, Prefetch>(
+              colind, values, x.data, a.rowptr[k], a.rowptr[k + 1], nnz);
         }
         return;
       }
       for (index_t i = r.begin; i < r.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         const value_t acc = detail::csr_row<Vectorize, Unroll, Prefetch>(
-            colind, values, x.data, a.rowptr[k], a.rowptr[k + 1]);
+            colind, values, x.data, a.rowptr[k], a.rowptr[k + 1], nnz);
         value_t& yi = *y.row(i);
         yi = alpha * acc + beta * yi;
       }
@@ -290,7 +308,7 @@ inline void csr_rows_block(const CsrView& a, ConstDenseBlockView x, DenseBlockVi
     const auto k = static_cast<std::size_t>(i);
     std::array<value_t, static_cast<std::size_t>(K)> acc;
     detail::csr_row_block<K, Prefetch>(a.colind.data(), a.values.data(), x.data, x.stride,
-                                       a.rowptr[k], a.rowptr[k + 1], acc.data());
+                                       a.rowptr[k], a.rowptr[k + 1], nnz, acc.data());
     detail::store_row_block<K>(y.row(i), acc.data(), alpha, beta, plain);
   }
 }
@@ -384,11 +402,12 @@ inline double csr_rows_local_dot(const CsrView& a, std::span<const value_t> x,
                                  std::span<value_t> y, std::span<const value_t> w, RowRange r,
                                  value_t alpha = 1.0, value_t beta = 0.0) {
   const bool plain = alpha == 1.0 && beta == 0.0;
+  const auto nnz = static_cast<offset_t>(a.colind.size());
   double acc = 0.0;
   for (index_t i = r.begin; i < r.end; ++i) {
     const auto k = static_cast<std::size_t>(i);
     const value_t ai = detail::csr_row<Vectorize, Unroll, Prefetch>(
-        a.colind.data(), a.values.data(), x.data(), a.rowptr[k], a.rowptr[k + 1]);
+        a.colind.data(), a.values.data(), x.data(), a.rowptr[k], a.rowptr[k + 1], nnz);
     const value_t yi = plain ? ai : alpha * ai + beta * y[k];
     y[k] = yi;
     acc += w[k] * yi;

@@ -190,11 +190,13 @@ std::string DecisionTree::to_text(std::span<const std::string> feature_names) co
       os << pad << "leaf p1=" << n.prob1 << " n=" << n.samples << '\n';
       return;
     }
-    const std::string fname =
-        static_cast<std::size_t>(n.feature) < feature_names.size()
-            ? feature_names[static_cast<std::size_t>(n.feature)]
-            : "f" + std::to_string(n.feature);
-    os << pad << "if " << fname << " <= " << n.threshold << ":\n";
+    os << pad << "if ";
+    if (static_cast<std::size_t>(n.feature) < feature_names.size()) {
+      os << feature_names[static_cast<std::size_t>(n.feature)];
+    } else {
+      os << 'f' << n.feature;
+    }
+    os << " <= " << n.threshold << ":\n";
     walk(n.left, indent + 1);
     os << pad << "else:\n";
     walk(n.right, indent + 1);

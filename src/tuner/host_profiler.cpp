@@ -204,6 +204,7 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     t->extra.emplace_back("symmetric_mean_seconds", symmetric_mean);
     t->extra.emplace_back("uneven_rows", has_uneven_rows(features, imb) ? 1.0 : 0.0);
     t->extra.emplace_back("decomposed_applied", prepared->decomposed_applied() ? 1.0 : 0.0);
+    t->extra.emplace_back("prefetch_applied", prepared->prefetch_applied() ? 1.0 : 0.0);
     plan.trace = std::move(t);
   }
   return plan;

@@ -74,7 +74,8 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
 /// plan's mean repetition, 0 when none was built; compare t_csr_seconds in
 /// `bounds`), the uneven-rows test's outcome (uneven_rows) and whether the
 /// plan measured last runs the long-row phases
-/// (PreparedSpmv::decomposed_applied). Throws std::invalid_argument when
+/// (PreparedSpmv::decomposed_applied) and the prefetch
+/// (PreparedSpmv::prefetch_applied). Throws std::invalid_argument when
 /// `options.iterations` < 1.
 OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options = {},
                            const ProfileThresholds& thresholds = {},

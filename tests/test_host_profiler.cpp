@@ -28,6 +28,11 @@ OptimizationPlan checked_tune(const CsrMatrix& m, HostProfileOptions opts,
   EXPECT_NE(plan.trace, nullptr);
   if (plan.trace) {
     EXPECT_EQ(plan.trace->config, plan.config.describe());
+    // The plan measured last is the returned config's plan.
+    const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = plan.config,
+                                                                 .threads = opts.threads}};
+    EXPECT_EQ(plan.trace->value_or_zero("prefetch_applied"),
+              prepared.prefetch_applied() ? 1.0 : 0.0);
   }
   return plan;
 }
@@ -169,6 +174,23 @@ TEST(HostTune, LeavesPowerLawHubsUnsplit) {
   ASSERT_NE(plan.trace, nullptr);
   EXPECT_EQ(plan.trace->value_or_zero("uneven_rows"), 0.0);
   EXPECT_EQ(plan.trace->value_or_zero("decomposed_applied"), 0.0);
+}
+
+TEST(HostTune, TracesTheAppliedPrefetch) {
+  // T_ML = 0 puts ML in every class set, so the plan asks for a prefetch;
+  // on a matrix that is not symmetric, with MB kept out, the CSR bodies
+  // run it.
+  const CsrMatrix m = gen::powerlaw(20000, 1.8, 300, 813);
+  HostProfileOptions opts;
+  opts.threads = 2;
+  opts.iterations = 3;
+  ProfileThresholds t = no_mb_imb();
+  t.t_ml = 0.0;
+  const auto plan = checked_tune(m, opts, t);
+  EXPECT_TRUE(plan.classes.contains(Bottleneck::kML));
+  EXPECT_TRUE(plan.config.prefetch) << plan.config.describe();
+  ASSERT_NE(plan.trace, nullptr);
+  EXPECT_EQ(plan.trace->value_or_zero("prefetch_applied"), 1.0);
 }
 
 TEST(HostProfile, RejectsNonPositiveIterations) {

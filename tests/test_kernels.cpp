@@ -327,6 +327,50 @@ TEST(Registry, DecomposedAppliedOnlyWhereLongRowsRun) {
   EXPECT_FALSE(applied(circuit, with_delta));
 }
 
+TEST(Registry, PrefetchAppliedOnlyWhereCsrBodiesRun) {
+  const auto applied = [](const CsrMatrix& m, const sim::KernelConfig& c) {
+    return kernels::PreparedSpmv{m, kernels::SpmvOptions{.config = c, .threads = 4}}
+        .prefetch_applied();
+  };
+  sim::KernelConfig pf;
+  pf.prefetch = true;
+  const CsrMatrix circuit = gen::circuit_like(30000, 3, 4, 25000, 326);
+  EXPECT_TRUE(applied(circuit, pf));
+  EXPECT_FALSE(applied(circuit, sim::KernelConfig{}));
+  // The row bodies prefetch under every schedule and in the long-row phases.
+  for (const auto schedule : {sim::Schedule::kStaticRows, sim::Schedule::kDynamicChunks}) {
+    sim::KernelConfig scheduled = pf;
+    scheduled.schedule = schedule;
+    EXPECT_TRUE(applied(circuit, scheduled));
+  }
+  sim::KernelConfig split = pf;
+  split.decomposed = true;
+  EXPECT_TRUE(applied(circuit, split));
+  // The delta body issues no prefetch; an incompressible delta config runs
+  // the CSR bodies.
+  sim::KernelConfig with_delta = pf;
+  with_delta.delta = true;
+  ASSERT_TRUE(DeltaCsrMatrix::compress(circuit).has_value());
+  EXPECT_FALSE(applied(circuit, with_delta));
+  CooMatrix wide{2, 200000};
+  wide.add(0, 0, 1.0);
+  wide.add(0, 199999, 2.0);
+  wide.add(1, 5, 3.0);
+  EXPECT_TRUE(applied(CsrMatrix::from_coo(wide), with_delta));
+  // Nor do the symmetric kernels; a matrix that is not symmetric keeps the
+  // CSR bodies.
+  sim::KernelConfig sym = pf;
+  sym.symmetric = true;
+  EXPECT_FALSE(applied(gen::stencil27(12, 12, 12), sym));
+  EXPECT_TRUE(applied(circuit, sym));
+  // The P_ML bound runs the CSR bodies, the P_CMP bound its own.
+  sim::KernelConfig bound = pf;
+  bound.x_access = sim::XAccess::kRegularized;
+  EXPECT_TRUE(applied(circuit, bound));
+  bound.x_access = sim::XAccess::kUnitStride;
+  EXPECT_FALSE(applied(circuit, bound));
+}
+
 TEST(Registry, RejectsNegativeThreads) {
   const CsrMatrix m = gen::diagonal(10);
   EXPECT_THROW(kernels::PreparedSpmv(m, kernels::SpmvOptions{.threads = -1}),

@@ -7,8 +7,13 @@
 // caller's region, and the engine's spmm.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <array>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "engine/solver_engine.hpp"
@@ -135,6 +140,141 @@ TEST(SpmmWidth1BitIdentity, MatchesPerRowKernelBitwise) {
     aligned_vector<value_t> y(n, -3.0);
     prepared.run(std::span<const value_t>{x}, std::span<value_t>{y});
     expect_bitwise(y, c.want);
+  }
+}
+
+// --- A prefetch changes no output bit --------------------------------------
+
+/// Matrices that put the cross-row prefetch's reach at the edges of the
+/// stream: rows of 1-3 nonzeros (the prefetch lands rows ahead), fewer
+/// nonzeros than the distance, empty rows, and a tail of one-nonzero rows
+/// that all sit within the distance of the stream's end; the last has two
+/// long rows so the decomposed plan runs its slices. The second and third
+/// hold a multiple of 16 nonzeros, so colind's 64-byte-rounded allocation
+/// ends at the stream's end and a read one past it hits ASan's redzone.
+std::vector<std::pair<const char*, CsrMatrix>> prefetch_edge_matrices() {
+  std::vector<std::pair<const char*, CsrMatrix>> out;
+  out.emplace_back("powerlaw_short_rows", gen::powerlaw(3000, 2.2, 3, 460));
+  CooMatrix tiny{9, 11};
+  const std::array<index_t, 5> tiny_len{3, 4, 1, 5, 3};
+  for (index_t r = 0; r < 5; ++r) {
+    for (index_t j = 0; j < tiny_len[static_cast<std::size_t>(r)]; ++j) {
+      tiny.add(2 * r, (6 * r + 2 * j) % 11, 1.0 + r + 0.5 * j);
+    }
+  }
+  out.emplace_back("fewer_nonzeros_than_distance", CsrMatrix::from_coo(tiny));
+  CooMatrix gaps{700, 700};
+  index_t count = 0;
+  for (index_t i = 0; i < 700; ++i) {
+    const index_t len = i >= 650 ? 1 : i % 5 == 0 ? 0 : 1 + i % 3;
+    for (index_t j = 0; j < len; ++j) gaps.add(i, (i * 7 + j * 131) % 700, 0.5 + j);
+    count += len;
+  }
+  for (index_t extra = 0; (count + extra) % 16 != 0; ++extra) gaps.add(1, 300 + extra, 1.0);
+  out.emplace_back("empty_rows_and_short_tail", CsrMatrix::from_coo(gaps));
+  out.emplace_back("short_rows_and_long_rows", gen::circuit_like(3000, 1, 2, 1500, 461));
+  return out;
+}
+
+/// The scalar-body transformations a +pf plan can combine with.
+constexpr std::array<std::pair<bool, bool>, 3> kVecUnroll{
+    std::pair{false, false}, std::pair{true, false}, std::pair{true, true}};
+
+// Every +pf plan — row, dynamic and decomposed; scalar, vectorized and
+// unrolled bodies; widths 1, 2, 3, 4, 8 and 13, with the direct store and
+// with alpha/beta — writes the same Y, bit for bit, as the same plan
+// without +pf. Run under AddressSanitizer, a prefetch guard that lets colind be
+// read past the view's end fails here.
+TEST(PrefetchBitIdentity, PlansMatchTheirPlanWithoutPrefetch) {
+  sim::KernelConfig dynamic;
+  dynamic.schedule = sim::Schedule::kDynamicChunks;
+  sim::KernelConfig decomposed;
+  decomposed.decomposed = true;
+  const auto matrices = prefetch_edge_matrices();
+  ASSERT_LT(matrices[1].second.nnz(), kernels::kPrefetchDistance);
+  ASSERT_EQ(matrices[1].second.nnz() % 16, 0);
+  ASSERT_EQ(matrices[2].second.nnz() % 16, 0);
+  for (const auto& entry : matrices) {
+    const std::string name = entry.first;
+    const CsrMatrix& m = entry.second;
+    const auto rows = static_cast<std::size_t>(m.nrows());
+    const auto cols = static_cast<std::size_t>(m.ncols());
+    for (sim::KernelConfig plan : {sim::KernelConfig{}, dynamic, decomposed}) {
+      for (const auto& [vec, unroll] : kVecUnroll) {
+        plan.vectorized = vec;
+        plan.unrolled = unroll;
+        sim::KernelConfig with_pf = plan;
+        with_pf.prefetch = true;
+        const kernels::PreparedSpmv off{m, kernels::SpmvOptions{.config = plan, .threads = 4}};
+        const kernels::PreparedSpmv on{m, kernels::SpmvOptions{.config = with_pf, .threads = 4}};
+        ASSERT_TRUE(on.prefetch_applied());
+        ASSERT_FALSE(off.prefetch_applied());
+        if (plan.decomposed && name == "short_rows_and_long_rows") {
+          ASSERT_TRUE(on.decomposed_applied());
+        }
+        for (const int k : {1, 2, 3, 4, 8, 13}) {
+          for (const value_t beta : {0.0, -1.5}) {
+            const value_t alpha = beta == 0.0 ? 1.0 : 0.75;
+            SCOPED_TRACE(name + " " + with_pf.describe() + " width " + std::to_string(k) +
+                         " beta " + std::to_string(beta));
+            const auto kk = static_cast<std::size_t>(k);
+            const auto xs = random_vector(cols * kk, 462 + kk);
+            const kernels::ConstDenseBlockView xb{xs.data(), m.ncols(), k, k};
+            aligned_vector<value_t> want = random_vector(rows * kk, 463 + kk);
+            aligned_vector<value_t> got = want;
+            off.run(xb, kernels::DenseBlockView{want.data(), m.nrows(), k, k}, alpha, beta);
+            on.run(xb, kernels::DenseBlockView{got.data(), m.nrows(), k, k}, alpha, beta);
+            expect_bitwise(got, want);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The fused-dot path (run_team with a weight vector) of a +pf plan returns
+// the same per-thread partial sums and the same y as the plan without +pf.
+TEST(PrefetchBitIdentity, FusedDotMatchesPlanWithoutPrefetch) {
+  sim::KernelConfig dynamic;
+  dynamic.schedule = sim::Schedule::kDynamicChunks;
+  sim::KernelConfig decomposed;
+  decomposed.decomposed = true;
+  for (const auto& entry : prefetch_edge_matrices()) {
+    const CsrMatrix& m = entry.second;
+    const auto rows = static_cast<std::size_t>(m.nrows());
+    const auto x = random_vector(static_cast<std::size_t>(m.ncols()), 464);
+    const auto w = random_vector(rows, 465);
+    // y = 0.75 A x - 1.5 y fused with w.y; each team thread's partial sum.
+    const auto fused = [&m, &x, &w](const sim::KernelConfig& cfg, aligned_vector<value_t>& y) {
+      const kernels::PreparedSpmv prepared{m, kernels::SpmvOptions{.config = cfg, .threads = 4}};
+      std::array<double, 4> partial{};
+      const auto xb = kernels::ConstDenseBlockView::from_vector(x);
+      const auto yb = kernels::DenseBlockView::from_vector(y);
+      const std::span<const value_t> ws{w};
+#pragma omp parallel default(none) num_threads(4) shared(prepared, xb, yb, ws, partial)
+      {
+        partial[static_cast<std::size_t>(omp_get_thread_num())] =
+            prepared.run_team(xb, yb, 0.75, -1.5, ws);
+      }
+      return partial;
+    };
+    for (sim::KernelConfig plan : {sim::KernelConfig{}, dynamic, decomposed}) {
+      for (const auto& [vec, unroll] : kVecUnroll) {
+        plan.vectorized = vec;
+        plan.unrolled = unroll;
+        sim::KernelConfig with_pf = plan;
+        with_pf.prefetch = true;
+        SCOPED_TRACE(std::string{entry.first} + " " + with_pf.describe());
+        aligned_vector<value_t> want = random_vector(rows, 466);
+        aligned_vector<value_t> got = want;
+        const auto want_dot = fused(plan, want);
+        const auto got_dot = fused(with_pf, got);
+        expect_bitwise(got, want);
+        for (std::size_t t = 0; t < got_dot.size(); ++t) {
+          EXPECT_EQ(got_dot[t], want_dot[t]) << "thread " << t;
+        }
+      }
+    }
   }
 }
 
