@@ -1,11 +1,10 @@
 // Preprocessing (inspector) pipeline bench — serial reference builders vs.
 // the two-pass parallel builders of DESIGN.md §13, over the gen suite.
 //
-// For the delta, SELL and long-row decomposition builders we time the
-// serial twin, the parallel builder pinned to one thread, and the parallel
-// builder at the bench thread count. CSR-from-COO and the balanced-nnz
-// partitioner have no serial twin and are timed at one thread and at the
-// bench thread count only. We report the parallel speedup (against the
+// For the delta and SELL builders we time the serial twin, the parallel
+// builder pinned to one thread, and the parallel builder at the bench thread
+// count. CSR-from-COO and the balanced-nnz partitioner have no serial twin
+// and are timed at one thread and at the bench thread count only. We report the parallel speedup (against the
 // serial twin, or against one thread without one) and write a
 // machine-readable summary to BENCH_preprocessing.json.
 //
@@ -26,7 +25,6 @@
 #include "obs/json.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/sell.hpp"
@@ -76,7 +74,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<BuilderTiming> rows{
-      {"csr.from_coo", false}, {"delta"}, {"sell"}, {"decomposed"}, {"partition", false}};
+      {"csr.from_coo", false}, {"delta"}, {"sell"}, {"partition", false}};
   std::size_t sink = 0;
   // Best repetition of `build`; summing its results keeps every call observable.
   const auto best = [&](auto&& build) {
@@ -112,14 +110,8 @@ int main(int argc, char** argv) {
     rows[2].parT_seconds +=
         best([&] { return SellMatrix::from_csr(m, 8, 256, threads).bytes(); });
 
-    rows[3].serial_seconds +=
-        best([&] { return DecomposedCsrMatrix::decompose_serial(m).bytes(); });
-    rows[3].par1_seconds += best([&] { return DecomposedCsrMatrix::decompose(m, 0, 1).bytes(); });
+    rows[3].par1_seconds += best([&] { return partition_balanced_nnz(m, nparts, 1).size(); });
     rows[3].parT_seconds +=
-        best([&] { return DecomposedCsrMatrix::decompose(m, 0, threads).bytes(); });
-
-    rows[4].par1_seconds += best([&] { return partition_balanced_nnz(m, nparts, 1).size(); });
-    rows[4].parT_seconds +=
         best([&] { return partition_balanced_nnz(m, nparts, threads).size(); });
   }
 

@@ -1,7 +1,7 @@
 // sparta::check — contract macros and the compile-time check level.
 //
 // The optimizer rewrites matrix structure aggressively (delta-compressed
-// index streams, long-row decomposition, SELL chunk padding, per-thread row
+// index streams, symmetric storage, SELL chunk padding, per-thread row
 // partitions) and the solver engine runs all of it inside one persistent
 // OpenMP region — the exact shape where silent structural corruption becomes
 // a wrong answer instead of a crash. This layer makes the structural
@@ -130,7 +130,7 @@ static_assert(noexcept(NoopContractState{}.count_evaluation()),
 
 // Structural-validator wiring (overload set in check/validate.hpp /
 // check/validate_tuner.hpp). Variadic so multi-argument validators
-// (partitions, decomposition-vs-source) wire the same way.
+// (partitions, symmetric-vs-source) wire the same way.
 #if SPARTA_CHECK_LEVEL == 0
 #define SPARTA_CHECK_STRUCTURE(...) ((void)sizeof(0, __VA_ARGS__))
 #elif SPARTA_CHECK_LEVEL == 1

@@ -264,71 +264,6 @@ void validate_sell(const SellArrays& a, Level effort) {
 }
 
 // ---------------------------------------------------------------------------
-// Long-row decomposition
-// ---------------------------------------------------------------------------
-
-void validate_decomposed(const DecomposedArrays& a, Level effort) {
-  if (effort == Level::kOff) return;
-  if (a.short_part == nullptr) fail_v("decomp.short.missing", "no short part");
-  if (a.threshold <= 0) fail_v("decomp.threshold", std::to_string(a.threshold));
-  const index_t nrows = a.short_part->nrows();
-  if (a.long_rowptr.size() != a.long_rows.size() + 1) {
-    fail_v("decomp.long_rowptr.size", std::to_string(a.long_rowptr.size()) + " entries, want " +
-                                          std::to_string(a.long_rows.size() + 1));
-  }
-  if (a.long_rowptr.front() != 0) {
-    fail_v("decomp.long_rowptr.front", std::to_string(a.long_rowptr.front()));
-  }
-  for (std::size_t k = 0; k < a.long_rows.size(); ++k) {
-    const index_t row = a.long_rows[k];
-    if (row < 0 || row >= nrows) {
-      fail_v("decomp.long_rows.bounds", "long row " + std::to_string(row));
-    }
-    if (k > 0 && row <= a.long_rows[k - 1]) {
-      fail_v("decomp.long_rows.sorted", "long rows not strictly ascending at entry " +
-                                            std::to_string(k));
-    }
-    if (a.long_rowptr[k + 1] < a.long_rowptr[k]) {
-      fail_v("decomp.long_rowptr.monotonic", "decreases at entry " + std::to_string(k + 1));
-    }
-    // A long row must actually be long — and its row in the short part must
-    // have been emptied, else its nonzeros are counted twice.
-    if (a.long_rowptr[k + 1] - a.long_rowptr[k] <= a.threshold) {
-      fail_v("decomp.long.threshold",
-             "long row " + std::to_string(row) + " has only " +
-                 std::to_string(a.long_rowptr[k + 1] - a.long_rowptr[k]) + " nonzeros");
-    }
-    if (a.short_part->row_nnz(row) != 0) {
-      fail_v("decomp.short.emptied",
-             "row " + std::to_string(row) + " present in both parts");
-    }
-  }
-  if (static_cast<std::size_t>(a.long_rowptr.back()) != a.long_colind.size() ||
-      a.long_colind.size() != a.long_values_size) {
-    fail_v("decomp.nnz.consistency",
-           "long_rowptr.back() = " + std::to_string(a.long_rowptr.back()) + ", colind " +
-               std::to_string(a.long_colind.size()) + " entries, values " +
-               std::to_string(a.long_values_size) + " entries");
-  }
-  if (effort < Level::kFull) return;
-  const index_t ncols = a.short_part->ncols();
-  for (std::size_t k = 0; k < a.long_rows.size(); ++k) {
-    const auto b = static_cast<std::size_t>(a.long_rowptr[k]);
-    const auto e = static_cast<std::size_t>(a.long_rowptr[k + 1]);
-    for (std::size_t j = b; j < e; ++j) {
-      if (a.long_colind[j] < 0 || a.long_colind[j] >= ncols) {
-        fail_v("decomp.colind.bounds", "long row " + std::to_string(a.long_rows[k]) +
-                                           " has column " + std::to_string(a.long_colind[j]));
-      }
-      if (j > b && a.long_colind[j] <= a.long_colind[j - 1]) {
-        fail_v("decomp.colind.sorted", "long row " + std::to_string(a.long_rows[k]) +
-                                           " columns not strictly increasing");
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // SymCsr (strict lower triangle + dense diagonal)
 // ---------------------------------------------------------------------------
 
@@ -461,59 +396,6 @@ void validate(const SellMatrix& m, Level effort) {
   a.chunk_len = chunk_len;
   a.chunk_off = chunk_off;
   validate_sell(a, effort);
-}
-
-void validate(const DecomposedCsrMatrix& m, Level effort) {
-  validate_decomposed({&m.short_part(), m.threshold(), m.long_rows(), m.long_rowptr(),
-                       m.long_colind(), m.long_values().size()},
-                      effort);
-}
-
-void validate(const DecomposedCsrMatrix& m, const CsrMatrix& source, Level effort) {
-  if (effort == Level::kOff) return;
-  validate(m, effort);
-  if (m.nrows() != source.nrows() || m.ncols() != source.ncols()) {
-    fail_v("decomp.source.dims", "decomposition is " + std::to_string(m.nrows()) + " x " +
-                                     std::to_string(m.ncols()) + ", source " +
-                                     std::to_string(source.nrows()) + " x " +
-                                     std::to_string(source.ncols()));
-  }
-  // The split must partition the nonzeros exactly: nothing dropped, nothing
-  // double-counted.
-  if (m.nnz() != source.nnz()) {
-    fail_v("decomp.nnz.conservation", "short + long = " + std::to_string(m.nnz()) +
-                                          " nonzeros, source has " +
-                                          std::to_string(source.nnz()));
-  }
-  if (effort < Level::kFull) return;
-  // Row-exact conservation: every long row's stream equals the source row,
-  // and every other row survives untouched in the short part.
-  const auto long_rows = m.long_rows();
-  const auto long_rowptr = m.long_rowptr();
-  const auto long_colind = m.long_colind();
-  std::size_t next_long = 0;
-  for (index_t r = 0; r < source.nrows(); ++r) {
-    const auto src_cols = source.row_cols(r);
-    if (next_long < long_rows.size() && long_rows[next_long] == r) {
-      const auto b = static_cast<std::size_t>(long_rowptr[next_long]);
-      const auto e = static_cast<std::size_t>(long_rowptr[next_long + 1]);
-      const bool equal = e - b == src_cols.size() &&
-                         std::equal(src_cols.begin(), src_cols.end(), long_colind.begin() +
-                                                                          static_cast<std::ptrdiff_t>(b));
-      if (!equal) {
-        fail_v("decomp.source.rows",
-               "long row " + std::to_string(r) + " differs from the source row");
-      }
-      ++next_long;
-    } else {
-      const auto short_cols = m.short_part().row_cols(r);
-      if (short_cols.size() != src_cols.size() ||
-          !std::equal(src_cols.begin(), src_cols.end(), short_cols.begin())) {
-        fail_v("decomp.source.rows",
-               "short row " + std::to_string(r) + " differs from the source row");
-      }
-    }
-  }
 }
 
 void validate(const SymCsrMatrix& m, Level effort) {

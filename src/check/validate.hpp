@@ -30,7 +30,6 @@
 #include "check/contract.hpp"
 #include "common/types.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/sell.hpp"
@@ -99,17 +98,6 @@ struct SymArrays {
   std::span<const std::uint8_t> diag_present;
 };
 
-struct DecomposedArrays {
-  /// The short part is a full CsrMatrix and validates through its own
-  /// arrays view; here it contributes its row-emptiness contract.
-  const CsrMatrix* short_part = nullptr;
-  index_t threshold = 0;
-  std::span<const index_t> long_rows;
-  std::span<const offset_t> long_rowptr;
-  std::span<const index_t> long_colind;
-  std::size_t long_values_size = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Arrays-level validators.
 // ---------------------------------------------------------------------------
@@ -117,7 +105,6 @@ struct DecomposedArrays {
 void validate_csr(const CsrArrays& a, Level effort = Level::kFull);
 void validate_delta(const DeltaArrays& a, Level effort = Level::kFull);
 void validate_sell(const SellArrays& a, Level effort = Level::kFull);
-void validate_decomposed(const DecomposedArrays& a, Level effort = Level::kFull);
 void validate_sym(const SymArrays& a, Level effort = Level::kFull);
 /// Ordered exact cover of [0, nrows).
 void validate_partition(std::span<const RowRange> parts, index_t nrows,
@@ -130,11 +117,6 @@ void validate_partition(std::span<const RowRange> parts, index_t nrows,
 void validate(const CsrMatrix& m, Level effort = Level::kFull);
 void validate(const DeltaCsrMatrix& m, Level effort = Level::kFull);
 void validate(const SellMatrix& m, Level effort = Level::kFull);
-void validate(const DecomposedCsrMatrix& m, Level effort = Level::kFull);
-/// Additionally proves nnz conservation against the matrix that was
-/// decomposed (the split must partition the nonzeros exactly).
-void validate(const DecomposedCsrMatrix& m, const CsrMatrix& source,
-              Level effort = Level::kFull);
 void validate(const SymCsrMatrix& m, Level effort = Level::kFull);
 /// Additionally proves mirror-nnz conservation and shape agreement against
 /// the symmetric matrix that was compressed.
@@ -151,9 +133,6 @@ inline void validate(const DeltaArrays& a, Level effort = Level::kFull) {
 }
 inline void validate(const SellArrays& a, Level effort = Level::kFull) {
   validate_sell(a, effort);
-}
-inline void validate(const DecomposedArrays& a, Level effort = Level::kFull) {
-  validate_decomposed(a, effort);
 }
 inline void validate(const SymArrays& a, Level effort = Level::kFull) {
   validate_sym(a, effort);

@@ -48,9 +48,9 @@ struct KernelConfig {
   [[nodiscard]] std::string describe() const;
 
   /// Whether symmetric storage may run under this config's other choices:
-  /// never next to delta or long-row decomposition (the format rewrites it
-  /// replaces), and never under the dynamic schedule (its halo windows are
-  /// keyed to a static row partition).
+  /// never next to delta or long-row decomposition (the plans it replaces),
+  /// and never under the dynamic schedule (its halo windows are keyed to a
+  /// static row partition).
   [[nodiscard]] bool allows_symmetric() const {
     return !delta && !decomposed && schedule != Schedule::kDynamicChunks;
   }

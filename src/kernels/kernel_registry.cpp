@@ -25,9 +25,8 @@ enum class Phases { kRows, kDynamic, kSymmetric, kDecomposed };
 struct Prepared {
   Phases phases = Phases::kRows;
   std::optional<DeltaCsrMatrix> delta;
-  std::optional<DecomposedCsrMatrix> decomposed;  // set iff kDecomposed
-  std::optional<SymCsrMatrix> sym;                // set iff kSymmetric
-  std::vector<RowRange> parts;                    // the plan's one partition
+  std::optional<SymCsrMatrix> sym;  // set iff kSymmetric
+  std::vector<RowRange> parts;      // the plan's one partition
 
   // Views the row kernels read through — the source arrays, or the
   // first-touch copies below when NUMA placement was requested.
@@ -50,10 +49,13 @@ struct Prepared {
   SymSchedule sym_sched;
   NumaArray<value_t> sym_scratch;
 
-  // Long-row decomposition: row k * nparts + p of `slice_view` is part p's
-  // even nnz slice of long row k, and its partial sums land in the same row
-  // of `slices` (kWidestChunk columns per row). Part p owns long rows
-  // [long_first[p], long_first[p + 1]).
+  // Long-row decomposition over the source streams: row k * (nparts + 1) + p
+  // of `slice_view` is part p's even nnz slice of long row `long_rows[k]`,
+  // and its partial sums land in the same row of `slices` (kWidestChunk
+  // columns per row). Long rows are not adjacent in the source, so row
+  // k * (nparts + 1) + nparts spans the gap rows up to the next long row and
+  // is never run. Part p owns long rows [long_first[p], long_first[p + 1]).
+  std::vector<index_t> long_rows;  // non-empty iff kDecomposed
   std::vector<offset_t> slice_rowptr;
   CsrView slice_view;
   NumaArray<value_t> slices;
@@ -334,9 +336,10 @@ double run_symmetric(Prepared& p, int tid, int nt, const Product& op) {
 /// sums the slices in part order. A group after the first starts with a
 /// barrier that orders the previous group's slice reads against its writes.
 double run_decomposed(Prepared& p, int tid, int nt, const Product& op) {
-  const auto long_rows = p.decomposed->long_rows();
+  const std::span<const index_t> long_rows = p.long_rows;
   const std::size_t nlong = long_rows.size();
   const std::size_t np = p.parts.size();
+  const std::size_t stride = np + 1;  // slice rows per long row
   const index_t width = op.x.width;
   const value_t alpha = op.alpha;
   const value_t beta = op.beta;
@@ -345,8 +348,7 @@ double run_decomposed(Prepared& p, int tid, int nt, const Product& op) {
   for (index_t c = 0; c < width;) {
     const index_t g = pow2_chunk(width - c);
     const Product group{op.x.columns(c, g), op.y.columns(c, g), alpha, beta, op.w};
-    const DenseBlockView partial{p.slices.data(), static_cast<index_t>(nlong * np), g,
-                                 kWidestChunk};
+    const DenseBlockView partial{p.slices.data(), p.slice_view.nrows, g, kWidestChunk};
     if (c > 0) {
 #pragma omp barrier
     }
@@ -360,7 +362,7 @@ double run_decomposed(Prepared& p, int tid, int nt, const Product& op) {
       }
       dot += rows_pass(p, RowRange{begin, owned.end}, group);
       for (std::size_t k = 0; k < nlong; ++k) {
-        const auto slice = static_cast<index_t>(k * np + pi);
+        const auto slice = static_cast<index_t>(k * stride + pi);
         run_rows_blocked(p, p.slice_rows, RowRange{slice, slice + 1}, group.x, partial, 1.0,
                          0.0);
       }
@@ -373,7 +375,7 @@ double run_decomposed(Prepared& p, int tid, int nt, const Product& op) {
         for (index_t cc = 0; cc < g; ++cc) {
           value_t total = 0.0;
           for (std::size_t q = 0; q < np; ++q) {
-            total += partial.at(static_cast<index_t>(k * np + q), cc);
+            total += partial.at(static_cast<index_t>(k * stride + q), cc);
           }
           yr[cc] = plain ? total : alpha * total + beta * yr[cc];
         }
@@ -431,14 +433,11 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   // Long-row decomposition runs on the CSR kernels (the tuner never
   // combines MB with IMB formats); a matrix without long rows keeps the
   // one-phase row plan.
-  if (cfg.decomposed && !use_delta) {
-    auto d = DecomposedCsrMatrix::decompose(a, /*threshold=*/0, threads);
-    if (!d.long_rows().empty()) p.decomposed = std::move(d);
-  }
-  decomposed_applied_ = p.decomposed.has_value();
+  if (cfg.decomposed && !use_delta) p.long_rows = long_rows(a);
+  decomposed_applied_ = !p.long_rows.empty();
   if (symmetric_applied_) {
     p.phases = Phases::kSymmetric;
-  } else if (p.decomposed) {
+  } else if (decomposed_applied_) {
     p.phases = Phases::kDecomposed;
   } else if (cfg.schedule == Schedule::kDynamicChunks) {
     p.phases = Phases::kDynamic;
@@ -448,8 +447,8 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   // solver engine's vector operations.
   if (cfg.schedule == Schedule::kStaticRows) {
     p.parts = partition_equal_rows(a.nrows(), threads);
-  } else if (p.decomposed) {
-    p.parts = partition_balanced_nnz(p.decomposed->short_part(), threads);
+  } else if (decomposed_applied_) {
+    p.parts = partition_balanced_nnz(a, p.long_rows, threads);
   } else {
     p.parts = partition_balanced_nnz(a, threads);
   }
@@ -469,25 +468,26 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
     p.sym_scratch = NumaArray<value_t>(p.sym_sched.scratch_elems);
   }
 
-  if (p.decomposed) {
-    // Cut every long row into np even nnz slices, slice q of long row k
-    // becoming row k * np + q of slice_view.
-    const DecomposedCsrMatrix& d = *p.decomposed;
-    const auto lrp = d.long_rowptr();
-    const auto long_rows = d.long_rows();
+  if (decomposed_applied_) {
+    // Cut every long row into np even nnz slices of the source streams;
+    // entry k * (np + 1) + np of slice_rowptr ends long row k.
+    const auto rp = a.rowptr();
+    const std::span<const index_t> long_rows = p.long_rows;
     const std::size_t nlong = long_rows.size();
-    p.slice_rowptr.resize(nlong * np + 1);
+    const std::size_t stride = np + 1;
+    p.slice_rowptr.resize(nlong * stride);
     for (std::size_t k = 0; k < nlong; ++k) {
-      const offset_t len = lrp[k + 1] - lrp[k];
-      for (std::size_t q = 0; q < np; ++q) {
-        p.slice_rowptr[k * np + q] =
-            lrp[k] + len * static_cast<offset_t>(q) / static_cast<offset_t>(np);
+      const auto row = static_cast<std::size_t>(long_rows[k]);
+      const offset_t len = rp[row + 1] - rp[row];
+      for (std::size_t q = 0; q <= np; ++q) {
+        p.slice_rowptr[k * stride + q] =
+            rp[row] + len * static_cast<offset_t>(q) / static_cast<offset_t>(np);
       }
     }
-    p.slice_rowptr[nlong * np] = lrp[nlong];
-    p.slice_view = CsrView{p.slice_rowptr, d.long_colind(), d.long_values(),
-                           static_cast<index_t>(nlong * np)};
-    p.slices = NumaArray<value_t>(nlong * np * static_cast<std::size_t>(kWidestChunk));
+    const auto view_rows = static_cast<index_t>(p.slice_rowptr.size() - 1);
+    p.slice_view = CsrView{p.slice_rowptr, a.colind(), a.values(), view_rows};
+    p.slices = NumaArray<value_t>(static_cast<std::size_t>(view_rows) *
+                                  static_cast<std::size_t>(kWidestChunk));
     p.long_first.resize(np + 1);
     for (std::size_t q = 0; q < np; ++q) {
       p.long_first[q] = static_cast<std::size_t>(
@@ -555,7 +555,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
     p.local_dot = pick<LocalCsrDot>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
     prefetch_applied_ = cfg.prefetch && !symmetric_applied_;
   }
-  if (p.decomposed) {
+  if (decomposed_applied_) {
     p.slice_rows =
         csr_block_table<&Prepared::slice_view>(cfg.vectorized, cfg.unrolled, cfg.prefetch);
   }

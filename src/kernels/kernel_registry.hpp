@@ -48,8 +48,9 @@ struct SpmvOptions {
 ///
 /// One execution path: `run_team()` is the only code that executes a
 /// product. The plan fixes one partition (`region_parts()`: equal rows for
-/// the static-rows schedule, balanced nonzeros otherwise — over the short
-/// rows under long-row decomposition) and a fixed list of phases:
+/// the static-rows schedule, balanced nonzeros otherwise — with the long
+/// rows counted as empty under long-row decomposition) and a fixed list of
+/// phases:
 ///  - CSR and delta: one phase over the owned rows;
 ///  - dynamic schedule: the rows self-scheduled in 64-row chunks, then —
 ///    when a dot is fused — a pass over the owned rows;
@@ -58,8 +59,10 @@ struct SpmvOptions {
 ///    owner adds the later parts' halo rows, then — when a dot is fused — a
 ///    pass over the owned rows (kernels/spmv_sym.hpp);
 ///  - long-row decomposition: the owned short rows plus each part's nnz
-///    slice of every long row, then the long-row owner sums the slices in
-///    part order.
+///    slice of every long row (the rows above long_row_threshold(), read in
+///    place from the source CSR), then the long-row owner sums the slices in
+///    part order. It has no dynamic variant: a decomposed config with
+///    Schedule::kDynamicChunks runs this static plan.
 /// One-shot `run()` is a single parallel region around `run_team()`; the
 /// solver engine (src/engine/) calls it from its persistent region.
 ///
@@ -80,7 +83,7 @@ class PreparedSpmv {
   /// Preprocess `a` per `opts`. If opts.config.delta is set but the matrix
   /// is incompressible, falls back to plain colind (delta_applied() reports
   /// false). Throws std::invalid_argument when a bound x_access is combined
-  /// with delta, symmetric or decomposed storage.
+  /// with delta, symmetric storage or long-row decomposition.
   explicit PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts = {});
 
   /// Run Y = alpha * A * X + beta * Y in one parallel region of threads()
@@ -129,8 +132,9 @@ class PreparedSpmv {
   [[nodiscard]] bool symmetric_applied() const { return symmetric_applied_; }
   /// Whether the plan runs the long-row phases. False when the config never
   /// asked for decomposition, next to an applied delta, or on a matrix with
-  /// no row above DecomposedCsrMatrix::default_threshold: those plans run
-  /// the one-phase row plan.
+  /// no row above long_row_threshold() (sparse/partition.hpp): those plans
+  /// run the one-phase row plan, or the dynamic one under
+  /// Schedule::kDynamicChunks.
   [[nodiscard]] bool decomposed_applied() const { return decomposed_applied_; }
   /// Whether the plan runs the prefetching CSR row bodies. False when the
   /// config never asked for a prefetch, next to an applied delta, on

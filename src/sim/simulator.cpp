@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/partition.hpp"
 
 namespace sparta::sim {
@@ -50,13 +48,10 @@ SimResult simulate_spmv(const CsrMatrix& m, const MachineSpec& machine,
     }
   }
 
-  std::optional<DecomposedCsrMatrix> dec;
-  const CsrMatrix* base = &m;
-  if (cfg.decomposed) {
-    dec.emplace(DecomposedCsrMatrix::decompose(m));
-    result.long_rows = static_cast<index_t>(dec->long_rows().size());
-    base = &dec->short_part();
-  }
+  // Long-row decomposition: the row schedule walks the long rows as empty
+  // rows, and the cooperative pass below runs their nonzeros.
+  const std::vector<index_t> split = cfg.decomposed ? long_rows(m) : std::vector<index_t>{};
+  result.long_rows = static_cast<index_t>(split.size());
 
   const int T = machine.threads();
   std::vector<SetAssocCache> caches;
@@ -86,30 +81,30 @@ SimResult simulate_spmv(const CsrMatrix& m, const MachineSpec& machine,
 
   auto run_range = [&](int t, RowRange r) {
     if (warm) {
-      (void)simulate_rows(*base, r, cfg, machine, width, caches[static_cast<std::size_t>(t)]);
+      (void)simulate_rows(m, r, cfg, machine, width, caches[static_cast<std::size_t>(t)], split);
     }
     tallies[static_cast<std::size_t>(t)] +=
-        simulate_rows(*base, r, cfg, machine, width, caches[static_cast<std::size_t>(t)]);
+        simulate_rows(m, r, cfg, machine, width, caches[static_cast<std::size_t>(t)], split);
   };
 
   switch (cfg.schedule) {
     case Schedule::kStaticNnzBalanced: {
-      const auto parts = partition_balanced_nnz(*base, T);
+      const auto parts = partition_balanced_nnz(m, split, T);
       for (int t = 0; t < T; ++t) run_range(t, parts[static_cast<std::size_t>(t)]);
       break;
     }
     case Schedule::kStaticRows: {
-      const auto parts = partition_equal_rows(base->nrows(), T);
+      const auto parts = partition_equal_rows(m.nrows(), T);
       for (int t = 0; t < T; ++t) run_range(t, parts[static_cast<std::size_t>(t)]);
       break;
     }
     case Schedule::kDynamicChunks: {
-      const index_t chunk = dynamic_chunk_rows(base->nrows(), T);
+      const index_t chunk = dynamic_chunk_rows(m.nrows(), T);
       std::vector<double> load(static_cast<std::size_t>(T), 0.0);
-      for (index_t row = 0; row < base->nrows(); row += chunk) {
+      for (index_t row = 0; row < m.nrows(); row += chunk) {
         const auto t = static_cast<int>(
             std::min_element(load.begin(), load.end()) - load.begin());
-        const RowRange r{row, std::min<index_t>(row + chunk, base->nrows())};
+        const RowRange r{row, std::min<index_t>(row + chunk, m.nrows())};
         const ThreadTally before = tallies[static_cast<std::size_t>(t)];
         run_range(t, r);
         ThreadTally delta_tally = tallies[static_cast<std::size_t>(t)];
@@ -125,15 +120,15 @@ SimResult simulate_spmv(const CsrMatrix& m, const MachineSpec& machine,
 
   // Cooperative long-row pass: every thread takes a contiguous slice of each
   // long row, then all threads reduce the partial sums.
-  if (dec && !dec->long_rows().empty()) {
+  if (!split.empty()) {
     const double reduction_cycles =
         kReductionCyclesPerLevel * std::ceil(std::log2(static_cast<double>(std::max(T, 2))));
-    const auto long_rowptr = dec->long_rowptr();
-    const auto long_cols = dec->long_colind();
+    const auto rowptr = m.rowptr();
+    const auto cols = m.colind();
     const int vpl = machine.values_per_line();
-    for (std::size_t k = 0; k < dec->long_rows().size(); ++k) {
-      const auto b = static_cast<std::size_t>(long_rowptr[k]);
-      const auto e = static_cast<std::size_t>(long_rowptr[k + 1]);
+    for (const index_t row : split) {
+      const auto b = static_cast<std::size_t>(rowptr[static_cast<std::size_t>(row)]);
+      const auto e = static_cast<std::size_t>(rowptr[static_cast<std::size_t>(row) + 1]);
       const auto len = e - b;
       for (int t = 0; t < T; ++t) {
         const std::size_t sb = b + len * static_cast<std::size_t>(t) / static_cast<std::size_t>(T);
@@ -141,8 +136,7 @@ SimResult simulate_spmv(const CsrMatrix& m, const MachineSpec& machine,
             b + len * (static_cast<std::size_t>(t) + 1) / static_cast<std::size_t>(T);
         if (sb >= se) continue;
         auto& tally = tallies[static_cast<std::size_t>(t)];
-        const auto slice =
-            std::span<const index_t>{long_cols}.subspan(sb, se - sb);
+        const auto slice = cols.subspan(sb, se - sb);
         const auto slice_len = static_cast<index_t>(slice.size());
         tally.cycles += row_cycles(slice_len, distinct_lines(slice, vpl), cfg, machine) +
                         reduction_cycles;

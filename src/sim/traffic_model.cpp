@@ -1,5 +1,6 @@
 #include "sim/traffic_model.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sparta::sim {
@@ -30,7 +31,7 @@ index_t distinct_lines(std::span<const index_t> cols, int values_per_line) {
 
 ThreadTally simulate_rows(const CsrMatrix& m, RowRange range, const KernelConfig& cfg,
                           const MachineSpec& machine, DeltaWidth delta_width,
-                          SetAssocCache& x_cache) {
+                          SetAssocCache& x_cache, std::span<const index_t> empty_rows) {
   ThreadTally t;
   const int vpl = machine.values_per_line();
   // Sequential-miss detection: a miss on the line right after the previous
@@ -48,8 +49,14 @@ ThreadTally simulate_rows(const CsrMatrix& m, RowRange range, const KernelConfig
     }
     prev_line = line;
   };
+  auto next_empty = std::lower_bound(empty_rows.begin(), empty_rows.end(), range.begin);
   for (index_t i = range.begin; i < range.end; ++i) {
-    const auto cols = m.row_cols(i);
+    std::span<const index_t> cols;
+    if (next_empty != empty_rows.end() && *next_empty == i) {
+      ++next_empty;
+    } else {
+      cols = m.row_cols(i);
+    }
     const auto len = static_cast<index_t>(cols.size());
     const index_t lines = cfg.vectorized ? distinct_lines(cols, vpl) : 0;
 

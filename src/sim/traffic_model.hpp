@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "machine/cache_model.hpp"
 #include "sim/kernel_model.hpp"
@@ -32,12 +33,14 @@ struct ThreadTally {
 };
 
 /// Simulate `range` of `m` under `cfg` with the given private cache.
-/// `delta_width` is only consulted when cfg.delta is set.
+/// `delta_width` is only consulted when cfg.delta is set. The rows in
+/// `empty_rows` (ascending) are walked as empty rows: the long rows of a
+/// decomposed plan, whose nonzeros the cooperative pass accounts for.
 /// The cache carries state across calls, modeling a warm cache when the
 /// same thread processes several chunks.
 ThreadTally simulate_rows(const CsrMatrix& m, RowRange range, const KernelConfig& cfg,
                           const MachineSpec& machine, DeltaWidth delta_width,
-                          SetAssocCache& x_cache);
+                          SetAssocCache& x_cache, std::span<const index_t> empty_rows);
 
 /// Count the distinct cache lines touched by a row's x accesses — the input
 /// of the gather-cost model. Columns are sorted within a CSR row, so a

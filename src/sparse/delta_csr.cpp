@@ -1,6 +1,7 @@
 #include "sparse/delta_csr.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "check/contract.hpp"
 #include "check/validate.hpp"
@@ -63,11 +64,12 @@ std::optional<DeltaCsrMatrix> DeltaCsrMatrix::compress(const CsrMatrix& csr, int
   out.ncols_ = csr.ncols();
   out.width_ = *width;
 
-  // Fill pass: rowptr/values are element-wise copies of the CSR streams;
-  // first_col and the delta stream are per-row independent. Every slot of
-  // every array is written (a nonempty row writes its base slot's unused
-  // delta as 0, matching the serial builder's zero prefill), so the
-  // default-init numa_vector storage is fully first-touched here.
+  // Fill pass: rowptr/values are copies of the CSR streams; first_col and
+  // the delta stream are per-row independent. Every slot of every array is
+  // written (a nonempty row writes its base slot's unused delta as 0,
+  // matching the serial builder's zero prefill), so the default-init
+  // numa_vector storage is fully first-touched here. The row loop is
+  // instantiated per stream width, so it never branches on the width.
   rec.phase("fill");
   const auto nrows = static_cast<std::ptrdiff_t>(csr.nrows());
   const auto nnz = static_cast<std::size_t>(csr.nnz());
@@ -76,31 +78,31 @@ std::optional<DeltaCsrMatrix> DeltaCsrMatrix::compress(const CsrMatrix& csr, int
   out.rowptr_ = numa_vector<offset_t>(static_cast<std::size_t>(nrows) + 1);
   out.first_col_ = numa_vector<index_t>(static_cast<std::size_t>(nrows));
   out.values_ = numa_vector<value_t>(nnz);
-  if (*width == DeltaWidth::k8) {
-    out.deltas8_ = numa_vector<std::uint8_t>(nnz);
-  } else {
-    out.deltas16_ = numa_vector<std::uint16_t>(nnz);
-  }
-  const bool wide = *width == DeltaWidth::k16;
-#pragma omp parallel for default(none) \
-    shared(out, csr, src_rowptr, src_values, nrows, wide) num_threads(nthreads) \
-    schedule(static)
-  for (std::ptrdiff_t i = 0; i < nrows; ++i) {
-    const auto k = static_cast<std::size_t>(i);
-    out.rowptr_[k] = src_rowptr[k];
-    if (i == nrows - 1) out.rowptr_[k + 1] = src_rowptr[k + 1];
-    const auto cols = csr.row_cols(static_cast<index_t>(i));
-    const auto base = static_cast<std::size_t>(src_rowptr[k]);
-    out.first_col_[k] = cols.empty() ? 0 : cols[0];
-    for (std::size_t j = 0; j < cols.size(); ++j) {
-      const auto d = j == 0 ? 0u : static_cast<std::uint32_t>(cols[j] - cols[j - 1]);
-      if (wide) {
-        out.deltas16_[base + j] = static_cast<std::uint16_t>(d);
-      } else {
-        out.deltas8_[base + j] = static_cast<std::uint8_t>(d);
+  const auto fill = [&](auto& deltas) {
+    using Stream = std::remove_reference_t<decltype(deltas)>;
+    deltas = Stream(nnz);
+#pragma omp parallel for default(none) shared(out, csr, src_rowptr, src_values, nrows, deltas) \
+    num_threads(nthreads) schedule(static)
+    for (std::ptrdiff_t i = 0; i < nrows; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      out.rowptr_[k] = src_rowptr[k];
+      if (i == nrows - 1) out.rowptr_[k + 1] = src_rowptr[k + 1];
+      const auto cols = csr.row_cols(static_cast<index_t>(i));
+      const auto base = static_cast<std::size_t>(src_rowptr[k]);
+      out.first_col_[k] = cols.empty() ? 0 : cols[0];
+      if (!cols.empty()) deltas[base] = 0;
+      for (std::size_t j = 1; j < cols.size(); ++j) {
+        deltas[base + j] = static_cast<typename Stream::value_type>(cols[j] - cols[j - 1]);
       }
-      out.values_[base + j] = src_values[base + j];
+      const auto row_values = src_values.subspan(base, cols.size());
+      std::copy(row_values.begin(), row_values.end(),
+                out.values_.begin() + static_cast<std::ptrdiff_t>(base));
     }
+  };
+  if (*width == DeltaWidth::k8) {
+    fill(out.deltas8_);
+  } else {
+    fill(out.deltas16_);
   }
   if (nrows == 0) out.rowptr_[0] = 0;
   rec.finish(out.bytes());

@@ -54,8 +54,8 @@ struct CostModelParams {
   double decompose_setup_spmv = 2.0;
   double autosched_setup_spmv = 0.1;
   /// Symmetric (lower-triangle+diagonal) storage build: count/scan/fill over
-  /// the nonzeros plus the mirror-verification pass, comparable to the
-  /// decomposition rewrite.
+  /// the nonzeros plus the mirror-verification pass, priced like the
+  /// paper's decomposition rewrite (decompose_setup_spmv).
   double sym_setup_spmv = 2.0;
   /// Extra setup for codegen-only variants (prefetch/unroll/vector).
   double codegen_setup_spmv = 0.5;

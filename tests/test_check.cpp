@@ -24,7 +24,6 @@
 #include "common/types.hpp"
 #include "gen/generators.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/sell.hpp"
@@ -131,42 +130,15 @@ struct SellCopy {
   }
 };
 
-struct DecompCopy {
-  const CsrMatrix* short_part = nullptr;
-  index_t threshold = 0;
-  std::vector<index_t> long_rows;
-  std::vector<offset_t> long_rowptr;
-  std::vector<index_t> long_colind;
-  std::size_t long_values_size = 0;
-
-  static DecompCopy of(const DecomposedCsrMatrix& m) {
-    DecompCopy c;
-    c.short_part = &m.short_part();
-    c.threshold = m.threshold();
-    c.long_rows.assign(m.long_rows().begin(), m.long_rows().end());
-    c.long_rowptr.assign(m.long_rowptr().begin(), m.long_rowptr().end());
-    c.long_colind.assign(m.long_colind().begin(), m.long_colind().end());
-    c.long_values_size = m.long_values().size();
-    return c;
-  }
-  check::DecomposedArrays view() const {
-    return {short_part, threshold, long_rows, long_rowptr, long_colind, long_values_size};
-  }
-};
-
 // Shared fixtures. banded() keeps intra-row deltas small so delta
 // compression always succeeds; powerlaw() varies row lengths so SELL padding
-// exists; circuit_like() plants dense rows so the decomposition is nonempty.
+// exists.
 const CsrMatrix& banded_m() {
   static const CsrMatrix m = gen::banded(302, 8, 6, 42);
   return m;
 }
 const CsrMatrix& powerlaw_m() {
   static const CsrMatrix m = gen::powerlaw(300, 1.7, 60, 99);
-  return m;
-}
-const CsrMatrix& circuit_m() {
-  static const CsrMatrix m = gen::circuit_like(400, 6, 4, 80, 7);
   return m;
 }
 
@@ -183,10 +155,6 @@ TEST(Accept, AllFactoriesProduceValidStructures) {
   EXPECT_NO_THROW(check::validate(*delta, Level::kFull));
 
   EXPECT_NO_THROW(check::validate(SellMatrix::from_csr(powerlaw_m(), 4, 64), Level::kFull));
-
-  const auto decomp = DecomposedCsrMatrix::decompose(circuit_m(), 20);
-  EXPECT_NO_THROW(check::validate(decomp, Level::kFull));
-  EXPECT_NO_THROW(check::validate(decomp, circuit_m(), Level::kFull));
 
   const auto parts = partition_balanced_nnz(powerlaw_m(), 7);
   EXPECT_NO_THROW(
@@ -395,69 +363,6 @@ TEST(RejectSell, NamedViolations) {
     ASSERT_TRUE(found) << "matrix has no SELL padding; pick a more skewed generator";
   }
   expect_violation("sell.padding.zero", [&] { check::validate_sell(c.view()); });
-}
-
-TEST(RejectDecomposed, NamedViolations) {
-  const auto decomp = DecomposedCsrMatrix::decompose(circuit_m(), 20);
-  ASSERT_GT(decomp.long_rows().size(), 1u);
-  const auto base = DecompCopy::of(decomp);
-
-  auto c = base;
-  c.short_part = nullptr;
-  expect_violation("decomp.short.missing", [&] { check::validate_decomposed(c.view()); });
-
-  c = base;
-  c.threshold = 0;
-  expect_violation("decomp.threshold", [&] { check::validate_decomposed(c.view()); });
-
-  c = base;
-  c.long_rows.pop_back();
-  expect_violation("decomp.long_rowptr.size", [&] { check::validate_decomposed(c.view()); });
-
-  c = base;
-  c.long_rowptr[0] = 1;
-  expect_violation("decomp.long_rowptr.front", [&] { check::validate_decomposed(c.view()); });
-
-  c = base;
-  c.long_rows[0] = -1;
-  expect_violation("decomp.long_rows.bounds", [&] { check::validate_decomposed(c.view()); });
-
-  c = base;
-  std::swap(c.long_rows[0], c.long_rows[1]);
-  expect_violation("decomp.long_rows.sorted", [&] { check::validate_decomposed(c.view()); });
-
-  c = base;
-  c.threshold = std::numeric_limits<index_t>::max();  // nothing is "long" now
-  expect_violation("decomp.long.threshold", [&] { check::validate_decomposed(c.view()); });
-
-  c = base;
-  c.long_values_size -= 1;
-  expect_violation("decomp.nnz.consistency", [&] { check::validate_decomposed(c.view()); });
-
-  c = base;
-  c.long_colind[0] = circuit_m().ncols();
-  expect_violation("decomp.colind.bounds", [&] { check::validate_decomposed(c.view()); });
-
-  // The source matrix still carries the long rows, so using it as the short
-  // part means those nonzeros are counted twice.
-  c = base;
-  c.short_part = &circuit_m();
-  expect_violation("decomp.short.emptied", [&] { check::validate_decomposed(c.view()); });
-}
-
-TEST(RejectDecomposed, SourceConservation) {
-  const auto decomp = DecomposedCsrMatrix::decompose(circuit_m(), 20);
-
-  const CsrMatrix wrong_dims = gen::banded(decomp.nrows() + 1, 8, 6, 3);
-  expect_violation("decomp.source.dims",
-                   [&] { check::validate(decomp, wrong_dims, Level::kFull); });
-
-  // Same shape, different nonzero count: conservation must fire.
-  const CsrMatrix wrong_nnz = gen::banded(decomp.nrows(), 8, 6, 3);
-  ASSERT_EQ(wrong_nnz.ncols(), decomp.ncols());
-  ASSERT_NE(wrong_nnz.nnz(), circuit_m().nnz());
-  expect_violation("decomp.nnz.conservation",
-                   [&] { check::validate(decomp, wrong_nnz, Level::kFull); });
 }
 
 TEST(RejectPartition, NamedViolations) {

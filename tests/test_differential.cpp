@@ -27,7 +27,7 @@
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "sim/kernel_model.hpp"
-#include "sparse/decomposed_csr.hpp"
+#include "sparse/partition.hpp"
 
 namespace sparta {
 namespace {
@@ -182,12 +182,11 @@ TEST(Differential, LongRowsAllWidthsAgreeWithCooReference) {
     const auto n = static_cast<index_t>(1500 + rng.bounded(1500));
     const CsrMatrix m = gen::circuit_like(
         n, static_cast<index_t>(1 + rng.bounded(4)), static_cast<index_t>(1 + rng.bounded(4)),
-        static_cast<index_t>(DecomposedCsrMatrix::kMinLongRow + 100 +
-                             rng.bounded(static_cast<std::uint64_t>(
-                                 n - DecomposedCsrMatrix::kMinLongRow - 100))),
+        static_cast<index_t>(kMinLongRow + 100 +
+                             rng.bounded(static_cast<std::uint64_t>(n - kMinLongRow - 100))),
         seed);
     SCOPED_TRACE("long-row case " + std::to_string(case_i) + " seed " + std::to_string(seed));
-    ASSERT_FALSE(DecomposedCsrMatrix::decompose(m).long_rows().empty());
+    ASSERT_FALSE(long_rows(m).empty());
     sim::KernelConfig dec;
     dec.decomposed = true;
     run_prepared_case(m, dec, seed, "decomposed");

@@ -6,7 +6,6 @@
 
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "tuner/optimizer.hpp"
 
@@ -43,8 +42,6 @@ TEST(EdgeCases, EmptyMatrixThroughFormats) {
   const auto d = DeltaCsrMatrix::compress(m);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->decompress(), m);
-  const auto dec = DecomposedCsrMatrix::decompose(m);
-  EXPECT_EQ(dec.recompose(), m);
 }
 
 TEST(EdgeCases, OneByOneEverywhere) {

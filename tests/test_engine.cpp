@@ -22,7 +22,6 @@
 #include "obs/telemetry.hpp"
 #include "reference_solvers.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/partition.hpp"
 
 namespace sparta {
@@ -453,7 +452,7 @@ TEST(EngineAgreement, FusedBicgstabMatchesReferenceOnSuite) {
 // --- The engine runs the plan it is given ---------------------------------
 
 /// Circuit-class matrix whose 4 dense rows of 1500 nonzeros exceed
-/// DecomposedCsrMatrix::kMinLongRow, so a decomposed plan has a long part.
+/// kMinLongRow, so a decomposed plan has a long part.
 CsrMatrix long_row_matrix() { return gen::circuit_like(1800, 3, 4, 1500, 305); }
 
 /// The plans of the determinism contract (DESIGN.md §9), by name.
@@ -474,7 +473,7 @@ constexpr const char* kPlans[] = {"baseline", "csr+vec+unroll+pf", "delta",    "
 TEST(EnginePlans, SpmmMatchesRunBitwise) {
   const CsrMatrix general = long_row_matrix();
   const CsrMatrix stencil = gen::stencil5(40, 40);
-  ASSERT_FALSE(DecomposedCsrMatrix::decompose(general).long_rows().empty());
+  ASSERT_FALSE(long_rows(general).empty());
   for (const char* name : {"baseline", "delta", "static-rows", "dynamic", "decomposed",
                            "symmetric"}) {
     const bool sym = plan_config(name).symmetric;
@@ -537,7 +536,7 @@ void expect_matches_reference(const CsrMatrix& a, const sim::KernelConfig& cfg,
 
 TEST(EnginePlans, CgMatchesReferenceOnSymmetricAndDecomposedPlans) {
   const CsrMatrix spd = spd_like(long_row_matrix(), 650);
-  ASSERT_FALSE(DecomposedCsrMatrix::decompose(spd).long_rows().empty());
+  ASSERT_FALSE(long_rows(spd).empty());
   ASSERT_TRUE(kernels::PreparedSpmv(spd, kernels::SpmvOptions{.config = plan_config("symmetric")})
                   .symmetric_applied());
   for (const char* name : {"symmetric", "decomposed"}) {
@@ -548,7 +547,7 @@ TEST(EnginePlans, CgMatchesReferenceOnSymmetricAndDecomposedPlans) {
 
 TEST(EnginePlans, BicgstabMatchesReferenceOnDecomposedDynamicAndSymmetricPlans) {
   const CsrMatrix general = gen::make_diagonally_dominant(long_row_matrix(), 653);
-  ASSERT_FALSE(DecomposedCsrMatrix::decompose(general).long_rows().empty());
+  ASSERT_FALSE(long_rows(general).empty());
   for (const char* name : {"decomposed", "dynamic"}) {
     SCOPED_TRACE(name);
     expect_matches_reference(general, plan_config(name), 654, false);
@@ -640,7 +639,7 @@ void expect_deterministic(const CsrMatrix& a, const char* name, int threads) {
 
 TEST(Determinism, EveryPlanIsBitIdenticalAtAFixedThreadCount) {
   const CsrMatrix a = spd_like(long_row_matrix(), 672);
-  ASSERT_FALSE(DecomposedCsrMatrix::decompose(a).long_rows().empty());
+  ASSERT_FALSE(long_rows(a).empty());
   ASSERT_TRUE(kernels::PreparedSpmv(a, kernels::SpmvOptions{.config = plan_config("symmetric")})
                   .symmetric_applied());
   for (const int threads : {1, 2, 3, 4, 7}) {

@@ -1,10 +1,8 @@
-// Tests for the optimized storage formats: delta-compressed CSR and the
-// long-row decomposition. Round-trips are verified across generator
-// families with parameterized property tests.
+// Tests for the delta-compressed CSR format. Round-trips are verified
+// across generator families with parameterized property tests.
 #include <gtest/gtest.h>
 
 #include "gen/generators.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 
 namespace sparta {
@@ -83,55 +81,7 @@ TEST(DeltaCsr, DiagonalMatrixCompressesTo8Bit) {
   EXPECT_EQ(d->decompress(), m);
 }
 
-TEST(Decomposed, DefaultThresholdScalesWithAverage) {
-  const CsrMatrix dense_rows = gen::dense_rows_wide(500, 300, 5);
-  EXPECT_GE(DecomposedCsrMatrix::default_threshold(dense_rows),
-            DecomposedCsrMatrix::kMinLongRow);
-}
-
-TEST(Decomposed, SplitsLongRows) {
-  const CsrMatrix m = gen::circuit_like(3000, 3, 4, 2500, 6);
-  const auto d = DecomposedCsrMatrix::decompose(m, 100);
-  EXPECT_GT(d.long_rows().size(), 0u);
-  // Long rows are emptied in the short part.
-  for (index_t r : d.long_rows()) {
-    EXPECT_EQ(d.short_part().row_nnz(r), 0);
-  }
-  // Short part has no row above the threshold.
-  for (index_t i = 0; i < d.short_part().nrows(); ++i) {
-    EXPECT_LE(d.short_part().row_nnz(i), d.threshold());
-  }
-  EXPECT_EQ(d.nnz(), m.nnz());
-}
-
-TEST(Decomposed, LongRowsAreSortedAscending) {
-  const CsrMatrix m = gen::circuit_like(2000, 3, 6, 1500, 7);
-  const auto d = DecomposedCsrMatrix::decompose(m, 64);
-  for (std::size_t i = 1; i < d.long_rows().size(); ++i) {
-    EXPECT_LT(d.long_rows()[i - 1], d.long_rows()[i]);
-  }
-}
-
-TEST(Decomposed, RoundTripPreservesMatrix) {
-  const CsrMatrix m = gen::circuit_like(1500, 4, 5, 1200, 8);
-  const auto d = DecomposedCsrMatrix::decompose(m, 50);
-  EXPECT_EQ(d.recompose(), m);
-}
-
-TEST(Decomposed, UniformMatrixHasNoLongRows) {
-  const CsrMatrix m = gen::banded(1000, 40, 8, 9);
-  const auto d = DecomposedCsrMatrix::decompose(m);
-  EXPECT_TRUE(d.long_rows().empty());
-  EXPECT_EQ(d.short_part(), m);
-}
-
-TEST(Decomposed, BytesCoverAllParts) {
-  const CsrMatrix m = gen::circuit_like(1500, 4, 5, 1200, 10);
-  const auto d = DecomposedCsrMatrix::decompose(m, 50);
-  EXPECT_GE(d.bytes(), d.short_part().bytes());
-}
-
-// Property sweep: delta and decomposition round-trip across families.
+// Property sweep: delta round-trips across families.
 struct FormatCase {
   const char* name;
   CsrMatrix (*make)();
@@ -152,12 +102,6 @@ TEST_P(FormatRoundTrip, DeltaRoundTripsWhenCompressible) {
   } else {
     EXPECT_FALSE(DeltaCsrMatrix::pick_width(m).has_value());
   }
-}
-
-TEST_P(FormatRoundTrip, DecompositionRoundTrips) {
-  const CsrMatrix m = GetParam().make();
-  const auto d = DecomposedCsrMatrix::decompose(m, 32);
-  EXPECT_EQ(d.recompose(), m);
 }
 
 INSTANTIATE_TEST_SUITE_P(

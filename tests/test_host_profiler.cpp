@@ -12,7 +12,7 @@
 #include "common/timer.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
-#include "sparse/decomposed_csr.hpp"
+#include "sparse/partition.hpp"
 #include "tuner/host_profiler.hpp"
 
 namespace sparta {
@@ -164,7 +164,7 @@ TEST(HostTune, LeavesPowerLawHubsUnsplit) {
   // Rows above the long-row threshold, but a ratio below ImbPolicy's: the
   // ratio test, not the threshold, decides the split.
   const CsrMatrix m = gen::powerlaw(20000, 1.8, 2000, 812);
-  ASSERT_FALSE(DecomposedCsrMatrix::decompose(m).long_rows().empty());
+  ASSERT_FALSE(long_rows(m).empty());
   ASSERT_FALSE(has_uneven_rows(extract_features(m)));
   HostProfileOptions opts;
   opts.threads = 2;

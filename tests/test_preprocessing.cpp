@@ -11,7 +11,6 @@
 #include "gen/generators.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/decomposed_csr.hpp"
 #include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/sell.hpp"
@@ -154,23 +153,6 @@ TEST(BuilderAgreement, SellMatchesSerial) {
         }
         expect_span_eq(par.colind(), ref.colind(), "sell.colind");
         expect_span_eq(par.values(), ref.values(), "sell.values");
-      }
-    }
-  }
-}
-
-TEST(BuilderAgreement, DecomposedMatchesSerial) {
-  for (const CsrMatrix& m : suite()) {
-    for (const index_t threshold : {index_t{0}, index_t{8}}) {
-      const auto ref = DecomposedCsrMatrix::decompose_serial(m, threshold);
-      for (const int t : kThreadCounts) {
-        const auto par = DecomposedCsrMatrix::decompose(m, threshold, t);
-        EXPECT_EQ(par.threshold(), ref.threshold());
-        expect_csr_eq(par.short_part(), ref.short_part());
-        expect_span_eq(par.long_rows(), ref.long_rows(), "decomposed.long_rows");
-        expect_span_eq(par.long_rowptr(), ref.long_rowptr(), "decomposed.long_rowptr");
-        expect_span_eq(par.long_colind(), ref.long_colind(), "decomposed.long_colind");
-        expect_span_eq(par.long_values(), ref.long_values(), "decomposed.long_values");
       }
     }
   }

@@ -21,7 +21,7 @@
 #include "kernels/kernel_registry.hpp"
 #include "kernels/spmv_kernels.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/decomposed_csr.hpp"
+#include "sparse/partition.hpp"
 #include "tuner/optimizations.hpp"
 
 namespace sparta {
@@ -497,7 +497,7 @@ TEST(Spmm, RunTeamInsideRegionMatchesRun) {
 // --- Long-row decomposition across widths ----------------------------------
 
 /// Circuit-class matrix whose 4 dense rows of 1500 nonzeros exceed
-/// DecomposedCsrMatrix::kMinLongRow, so a decomposed plan has a long part.
+/// kMinLongRow, so a decomposed plan has a long part.
 CsrMatrix long_row_matrix() { return gen::circuit_like(1800, 3, 4, 1500, 305); }
 
 kernels::PreparedSpmv decomposed_plan(const CsrMatrix& m, int block_width) {
@@ -514,7 +514,7 @@ kernels::PreparedSpmv decomposed_plan(const CsrMatrix& m, int block_width) {
 // one pass.
 TEST(Spmm, DecomposedRegionRunTeamMatchesRun) {
   const CsrMatrix m = long_row_matrix();
-  ASSERT_FALSE(DecomposedCsrMatrix::decompose(m).long_rows().empty());
+  ASSERT_FALSE(long_rows(m).empty());
   const kernels::PreparedSpmv prepared = decomposed_plan(m, 1);
   const auto rows = static_cast<std::size_t>(m.nrows());
   const auto cols = static_cast<std::size_t>(m.ncols());
