@@ -62,6 +62,8 @@ struct CsrArrays {
   std::size_t values_size = 0;
 };
 
+/// The stream's shape and rowptr are the source CSR's: the format stores
+/// only first_col and the deltas.
 struct DeltaArrays {
   index_t nrows = 0;
   index_t ncols = 0;
@@ -70,7 +72,6 @@ struct DeltaArrays {
   std::span<const index_t> first_col;
   std::span<const std::uint8_t> deltas8;
   std::span<const std::uint16_t> deltas16;
-  std::size_t values_size = 0;
 };
 
 struct SellArrays {
@@ -115,7 +116,9 @@ void validate_partition(std::span<const RowRange> parts, index_t nrows,
 // ---------------------------------------------------------------------------
 
 void validate(const CsrMatrix& m, Level effort = Level::kFull);
-void validate(const DeltaCsrMatrix& m, Level effort = Level::kFull);
+/// The stream against the shape and rowptr of `source`, the matrix it was
+/// compressed from (whose values are checked under `csr.`).
+void validate(const DeltaCsrMatrix& m, const CsrMatrix& source, Level effort = Level::kFull);
 void validate(const SellMatrix& m, Level effort = Level::kFull);
 void validate(const SymCsrMatrix& m, Level effort = Level::kFull);
 /// Additionally proves mirror-nnz conservation and shape agreement against

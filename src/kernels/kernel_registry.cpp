@@ -24,14 +24,15 @@ enum class Phases { kRows, kDynamic, kSymmetric, kDecomposed };
 /// Everything a prepared plan executes from.
 struct Prepared {
   Phases phases = Phases::kRows;
-  std::optional<DeltaCsrMatrix> delta;
-  std::optional<SymCsrMatrix> sym;  // set iff kSymmetric
-  std::vector<RowRange> parts;      // the plan's one partition
+  std::optional<DeltaCsrMatrix> delta;  // dropped once first-touch copies hold it
+  std::optional<SymCsrMatrix> sym;      // set iff kSymmetric
+  std::vector<RowRange> parts;          // the plan's one partition
 
   // Views the row kernels read through — the source arrays, or the
-  // first-touch copies below when NUMA placement was requested.
+  // first-touch copies below when NUMA placement was requested. A delta
+  // plan's view takes rowptr and values from `view`.
   CsrView view;
-  DeltaView delta_view;  // valid iff delta
+  DeltaView delta_view;  // valid iff a delta plan
 
   NumaArray<offset_t> ft_rowptr;
   NumaArray<index_t> ft_colind;
@@ -407,17 +408,12 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   Prepared& p = *prepared;
   p.view = make_view(a);
 
-  bool use_delta = cfg.delta;
-  if (use_delta) {
-    auto d = DeltaCsrMatrix::compress(a, threads);
-    if (d) {
-      p.delta = std::move(*d);
-      p.delta_view = make_view(*p.delta);
-      delta_applied_ = true;
-    } else {
-      use_delta = false;
-    }
+  if (cfg.delta) {
+    p.delta = DeltaCsrMatrix::compress(a, threads);
+    if (p.delta) p.delta_view = make_view(p.view, *p.delta);
   }
+  const bool use_delta = p.delta.has_value();
+  delta_applied_ = use_delta;
 
   // Symmetric storage runs only where the config allows it
   // (KernelConfig::allows_symmetric), an incompressible delta config
@@ -497,47 +493,42 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
     p.long_first[np] = nlong;
   }
 
-  // NUMA first-touch copies of the streaming arrays, initialized by the
-  // owning threads. Only the one-phase row plan reads them by owned row.
+  // NUMA first-touch copies of the arrays the one-phase row plan streams —
+  // rowptr, its column stream (colind, or first_col and the deltas), then
+  // values — each initialized by the threads that own its ranges. A delta
+  // plan then drops its unplaced stream, so it holds one copy of each array
+  // it reads.
   if (opts.first_touch && p.phases == Phases::kRows) {
     const auto parts = std::span<const RowRange>{p.parts};
+    const auto rp = a.rowptr();
+    const auto rowptr_range = [&](RowRange r, bool last) {
+      return ElemRange{r.begin, last ? static_cast<std::ptrdiff_t>(rp.size()) : r.end};
+    };
+    const auto nnz_range = [&](RowRange r, bool) {
+      return ElemRange{rp[static_cast<std::size_t>(r.begin)], rp[static_cast<std::size_t>(r.end)]};
+    };
+    first_touch_copy(rp, p.ft_rowptr, parts, threads, rowptr_range);
+    // A bound plan's column array is already placed (P_ML) or never read.
+    const bool copy_colind = !use_delta && !bound;
     if (use_delta) {
-      const DeltaCsrMatrix& d = *p.delta;
-      const auto rp = d.rowptr();
-      const auto rowptr_range = [&](RowRange r, bool last) {
-        return ElemRange{r.begin, last ? static_cast<std::ptrdiff_t>(rp.size()) : r.end};
-      };
-      const auto nnz_range = [&](RowRange r, bool) {
-        return ElemRange{rp[static_cast<std::size_t>(r.begin)],
-                         rp[static_cast<std::size_t>(r.end)]};
-      };
-      const auto row_range = [&](RowRange r, bool) { return ElemRange{r.begin, r.end}; };
-      first_touch_copy(rp, p.ft_rowptr, parts, threads, rowptr_range);
-      first_touch_copy(d.first_col(), p.ft_first_col, parts, threads, row_range);
-      first_touch_copy(d.values(), p.ft_values, parts, threads, nnz_range);
-      if (d.width() == DeltaWidth::k8) {
-        first_touch_copy(d.deltas8(), p.ft_deltas8, parts, threads, nnz_range);
+      const DeltaView& d = p.delta_view;
+      first_touch_copy(d.first_col, p.ft_first_col, parts, threads,
+                       [](RowRange r, bool) { return ElemRange{r.begin, r.end}; });
+      if (d.width == DeltaWidth::k8) {
+        first_touch_copy(d.deltas8, p.ft_deltas8, parts, threads, nnz_range);
       } else {
-        first_touch_copy(d.deltas16(), p.ft_deltas16, parts, threads, nnz_range);
+        first_touch_copy(d.deltas16, p.ft_deltas16, parts, threads, nnz_range);
       }
-      p.delta_view = DeltaView{p.ft_rowptr.span(),  p.ft_first_col.span(), p.ft_deltas8.span(),
-                               p.ft_deltas16.span(), p.ft_values.span(),    d.width(),
-                               d.nrows()};
-    } else {
-      const auto rp = a.rowptr();
-      const auto rowptr_range = [&](RowRange r, bool last) {
-        return ElemRange{r.begin, last ? static_cast<std::ptrdiff_t>(rp.size()) : r.end};
-      };
-      const auto nnz_range = [&](RowRange r, bool) {
-        return ElemRange{rp[static_cast<std::size_t>(r.begin)],
-                         rp[static_cast<std::size_t>(r.end)]};
-      };
-      first_touch_copy(rp, p.ft_rowptr, parts, threads, rowptr_range);
-      // A bound plan's column array is already placed (P_ML) or never read.
-      if (!bound) first_touch_copy(a.colind(), p.ft_colind, parts, threads, nnz_range);
-      first_touch_copy(a.values(), p.ft_values, parts, threads, nnz_range);
-      p.view = CsrView{p.ft_rowptr.span(), bound ? p.view.colind : p.ft_colind.span(),
-                       p.ft_values.span(), a.nrows()};
+    } else if (copy_colind) {
+      first_touch_copy(a.colind(), p.ft_colind, parts, threads, nnz_range);
+    }
+    first_touch_copy(a.values(), p.ft_values, parts, threads, nnz_range);
+    p.view = CsrView{p.ft_rowptr.span(), copy_colind ? p.ft_colind.span() : p.view.colind,
+                     p.ft_values.span(), a.nrows()};
+    if (use_delta) {
+      p.delta_view = DeltaView{p.view.rowptr,        p.ft_first_col.span(), p.ft_deltas8.span(),
+                               p.ft_deltas16.span(), p.view.values,         p.delta_view.width};
+      p.delta.reset();
     }
     first_touch_applied_ = true;
   }
@@ -575,7 +566,7 @@ PreparedSpmv::PreparedSpmv(const CsrMatrix& a, const SpmvOptions& opts)
   double index_bytes = dnnz * static_cast<double>(sizeof(index_t));
   if (cfg.x_access == XAccess::kUnitStride) index_bytes = 0.0;  // colind never read
   if (delta_applied_) {
-    index_bytes = dnnz * (prepared_->delta->width() == DeltaWidth::k8 ? 1.0 : 2.0) +
+    index_bytes = dnnz * (prepared_->delta_view.width == DeltaWidth::k8 ? 1.0 : 2.0) +
                   dnrows * static_cast<double>(sizeof(index_t));  // first_col
   }
   matrix_bytes_ = (dnrows + 1.0) * static_cast<double>(sizeof(offset_t)) + index_bytes +

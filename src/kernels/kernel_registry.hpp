@@ -66,12 +66,13 @@ struct SpmvOptions {
 /// One-shot `run()` is a single parallel region around `run_team()`; the
 /// solver engine (src/engine/) calls it from its persistent region.
 ///
-/// With `first_touch` set, the CSR (or delta) streams of a one-phase plan
-/// are copied into untouched storage and initialized range-by-range from
-/// the threads that own those ranges, so on first-touch NUMA systems every
-/// thread reads its share of rowptr/colind/values from local memory. The
-/// other plans do not read those streams by owned row (`first_touch_applied()`
-/// reports false).
+/// With `first_touch` set, the streams a one-phase plan reads — rowptr, its
+/// column stream (colind, or delta's first_col and deltas) and values — are
+/// copied into untouched storage and initialized range-by-range from the
+/// threads that own those ranges, so on first-touch NUMA systems every
+/// thread reads its share from local memory; a delta plan then frees its
+/// unplaced stream. The other plans do not read those streams by owned row
+/// (`first_touch_applied()` reports false).
 ///
 /// `KernelConfig::x_access` selects the paper's bound micro-benchmarks
 /// (§III-B): kRegularized runs the CSR kernels over a prepared colind whose

@@ -73,7 +73,8 @@ inline CsrView make_view(const CsrMatrix& a) {
   return {a.rowptr(), a.colind(), a.values(), a.nrows()};
 }
 
-/// Non-owning view of the delta-compressed streams.
+/// Non-owning view of a delta plan's streams: rowptr and values are the
+/// plan's CSR view's, first_col and the delta stream the format's.
 struct DeltaView {
   std::span<const offset_t> rowptr;
   std::span<const index_t> first_col;
@@ -81,12 +82,10 @@ struct DeltaView {
   std::span<const std::uint16_t> deltas16;
   std::span<const value_t> values;
   DeltaWidth width = DeltaWidth::k8;
-  index_t nrows = 0;
 };
 
-inline DeltaView make_view(const DeltaCsrMatrix& a) {
-  return {a.rowptr(), a.first_col(), a.deltas8(), a.deltas16(),
-          a.values(), a.width(),     a.nrows()};
+inline DeltaView make_view(const CsrView& rows, const DeltaCsrMatrix& d) {
+  return {rows.rowptr, d.first_col(), d.deltas8(), d.deltas16(), rows.values, d.width()};
 }
 
 namespace detail {
@@ -160,15 +159,6 @@ inline value_t csr_row(const index_t* SPARTA_RESTRICT colind,
   return acc;
 }
 
-/// The row body with its prefetch kept inside the row, for a caller that
-/// holds no view: the same sums, bit for bit.
-template <bool Vectorize, bool Unroll, bool Prefetch>
-inline value_t csr_row(const index_t* SPARTA_RESTRICT colind,
-                       const value_t* SPARTA_RESTRICT values,
-                       const value_t* SPARTA_RESTRICT x, offset_t begin, offset_t end) {
-  return csr_row<Vectorize, Unroll, Prefetch>(colind, values, x, begin, end, end);
-}
-
 /// Row loop body for delta-compressed CSR; Width is std::uint8_t or
 /// std::uint16_t. Prefetching is not combined with delta (the next column is
 /// only known after decode), mirroring the paper's pool where MB and ML
@@ -196,19 +186,34 @@ inline value_t delta_row(index_t first_col, const Width* SPARTA_RESTRICT deltas,
 /// is always vectorized; the scalar-path Vectorize/Unroll toggles only
 /// distinguish k = 1 code (see csr_rows_block). Each nonzero gathers a
 /// K-wide operand row, which is where the prefetch pays (`stream_end` as
-/// in csr_row).
+/// in csr_row). Without the prefetch the sums run in a local array: summed
+/// through `acc`, GCC 12 compiles that loop into one over pairs of nonzeros
+/// with the sums in memory, about 1.4x slower at K = 8. The prefetching
+/// body already compiles to one multiply-add per nonzero with `acc` in a
+/// register.
 template <index_t K, bool Prefetch>
 inline void csr_row_block(const index_t* SPARTA_RESTRICT colind,
                           const value_t* SPARTA_RESTRICT values,
                           const value_t* SPARTA_RESTRICT x, index_t ldx, offset_t begin,
                           offset_t end, offset_t stream_end, value_t* SPARTA_RESTRICT acc) {
+  if constexpr (!Prefetch) {
+    std::array<value_t, static_cast<std::size_t>(K)> sum{};
+    for (offset_t j = begin; j < end; ++j) {
+      const auto k = static_cast<std::size_t>(j);
+      const value_t v = values[k];
+      const value_t* SPARTA_RESTRICT xr =
+          &x[static_cast<std::size_t>(colind[k]) * static_cast<std::size_t>(ldx)];
+#pragma omp simd
+      for (index_t c = 0; c < K; ++c) sum[c] += v * xr[c];
+    }
+    for (index_t c = 0; c < K; ++c) acc[c] = sum[c];
+    return;
+  }
   for (index_t c = 0; c < K; ++c) acc[c] = 0.0;
   for (offset_t j = begin; j < end; ++j) {
     const auto k = static_cast<std::size_t>(j);
-    if constexpr (Prefetch) {
-      prefetch_operand(colind, x, static_cast<std::size_t>(ldx), j + kPrefetchDistance,
-                       stream_end);
-    }
+    prefetch_operand(colind, x, static_cast<std::size_t>(ldx), j + kPrefetchDistance,
+                     stream_end);
     const value_t v = values[k];
     const value_t* SPARTA_RESTRICT xr =
         &x[static_cast<std::size_t>(colind[k]) * static_cast<std::size_t>(ldx)];
@@ -218,31 +223,26 @@ inline void csr_row_block(const index_t* SPARTA_RESTRICT colind,
 }
 
 /// K-column row body for delta-compressed CSR (see delta_row for the decode
-/// shape; see csr_row_block for the blocking rationale).
+/// shape; see csr_row_block for the blocking rationale and the local sums).
+/// The decode advances the operand row pointer by each delta: GCC 12 turns
+/// a loop that recomputes the row from the decoded column into the same
+/// slow loop over pairs of nonzeros.
 template <index_t K, class Width>
 inline void delta_row_block(index_t first_col, const Width* SPARTA_RESTRICT deltas,
                             const value_t* SPARTA_RESTRICT values,
                             const value_t* SPARTA_RESTRICT x, index_t ldx, offset_t begin,
                             offset_t end, value_t* SPARTA_RESTRICT acc) {
-  for (index_t c = 0; c < K; ++c) acc[c] = 0.0;
-  if (begin == end) return;
-  index_t col = first_col;
-  {
-    const value_t v = values[static_cast<std::size_t>(begin)];
-    const value_t* SPARTA_RESTRICT xr =
-        &x[static_cast<std::size_t>(col) * static_cast<std::size_t>(ldx)];
-#pragma omp simd
-    for (index_t c = 0; c < K; ++c) acc[c] += v * xr[c];
-  }
-  for (offset_t j = begin + 1; j < end; ++j) {
+  std::array<value_t, static_cast<std::size_t>(K)> sum{};
+  const auto stride = static_cast<std::size_t>(ldx);
+  const value_t* SPARTA_RESTRICT xr = &x[static_cast<std::size_t>(first_col) * stride];
+  for (offset_t j = begin; j < end; ++j) {
     const auto k = static_cast<std::size_t>(j);
-    col += static_cast<index_t>(deltas[k]);
+    if (j > begin) xr += static_cast<std::size_t>(deltas[k]) * stride;
     const value_t v = values[k];
-    const value_t* SPARTA_RESTRICT xr =
-        &x[static_cast<std::size_t>(col) * static_cast<std::size_t>(ldx)];
 #pragma omp simd
-    for (index_t c = 0; c < K; ++c) acc[c] += v * xr[c];
+    for (index_t c = 0; c < K; ++c) sum[c] += v * xr[c];
   }
+  for (index_t c = 0; c < K; ++c) acc[c] = sum[c];
 }
 
 /// alpha/beta store of one K-wide accumulator row. The alpha = 1, beta = 0

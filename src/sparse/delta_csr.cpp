@@ -60,33 +60,26 @@ std::optional<DeltaCsrMatrix> DeltaCsrMatrix::compress(const CsrMatrix& csr, int
   if (!width) return std::nullopt;
 
   DeltaCsrMatrix out;
-  out.nrows_ = csr.nrows();
-  out.ncols_ = csr.ncols();
   out.width_ = *width;
 
-  // Fill pass: rowptr/values are copies of the CSR streams; first_col and
-  // the delta stream are per-row independent. Every slot of every array is
-  // written (a nonempty row writes its base slot's unused delta as 0,
-  // matching the serial builder's zero prefill), so the default-init
-  // numa_vector storage is fully first-touched here. The row loop is
-  // instantiated per stream width, so it never branches on the width.
+  // Fill pass: first_col and the delta stream are per-row independent.
+  // Every slot of both arrays is written (a nonempty row writes its base
+  // slot's unused delta as 0, matching the serial builder's zero prefill),
+  // so the default-init numa_vector storage is fully first-touched here.
+  // The row loop is instantiated per stream width, so it never branches on
+  // the width.
   rec.phase("fill");
   const auto nrows = static_cast<std::ptrdiff_t>(csr.nrows());
   const auto nnz = static_cast<std::size_t>(csr.nnz());
   const auto src_rowptr = csr.rowptr();
-  const auto src_values = csr.values();
-  out.rowptr_ = numa_vector<offset_t>(static_cast<std::size_t>(nrows) + 1);
   out.first_col_ = numa_vector<index_t>(static_cast<std::size_t>(nrows));
-  out.values_ = numa_vector<value_t>(nnz);
   const auto fill = [&](auto& deltas) {
     using Stream = std::remove_reference_t<decltype(deltas)>;
     deltas = Stream(nnz);
-#pragma omp parallel for default(none) shared(out, csr, src_rowptr, src_values, nrows, deltas) \
+#pragma omp parallel for default(none) shared(out, csr, src_rowptr, nrows, deltas) \
     num_threads(nthreads) schedule(static)
     for (std::ptrdiff_t i = 0; i < nrows; ++i) {
       const auto k = static_cast<std::size_t>(i);
-      out.rowptr_[k] = src_rowptr[k];
-      if (i == nrows - 1) out.rowptr_[k + 1] = src_rowptr[k + 1];
       const auto cols = csr.row_cols(static_cast<index_t>(i));
       const auto base = static_cast<std::size_t>(src_rowptr[k]);
       out.first_col_[k] = cols.empty() ? 0 : cols[0];
@@ -94,9 +87,6 @@ std::optional<DeltaCsrMatrix> DeltaCsrMatrix::compress(const CsrMatrix& csr, int
       for (std::size_t j = 1; j < cols.size(); ++j) {
         deltas[base + j] = static_cast<typename Stream::value_type>(cols[j] - cols[j - 1]);
       }
-      const auto row_values = src_values.subspan(base, cols.size());
-      std::copy(row_values.begin(), row_values.end(),
-                out.values_.begin() + static_cast<std::ptrdiff_t>(base));
     }
   };
   if (*width == DeltaWidth::k8) {
@@ -104,9 +94,8 @@ std::optional<DeltaCsrMatrix> DeltaCsrMatrix::compress(const CsrMatrix& csr, int
   } else {
     fill(out.deltas16_);
   }
-  if (nrows == 0) out.rowptr_[0] = 0;
   rec.finish(out.bytes());
-  SPARTA_CHECK_STRUCTURE(out);
+  SPARTA_CHECK_STRUCTURE(out, csr);
   return out;
 }
 
@@ -115,12 +104,8 @@ std::optional<DeltaCsrMatrix> DeltaCsrMatrix::compress_serial(const CsrMatrix& c
   if (!width) return std::nullopt;
 
   DeltaCsrMatrix out;
-  out.nrows_ = csr.nrows();
-  out.ncols_ = csr.ncols();
   out.width_ = *width;
-  out.rowptr_.assign(csr.rowptr().begin(), csr.rowptr().end());
   out.first_col_.resize(static_cast<std::size_t>(csr.nrows()));
-  out.values_.assign(csr.values().begin(), csr.values().end());
 
   const auto nnz = static_cast<std::size_t>(csr.nnz());
   if (*width == DeltaWidth::k8) {
@@ -142,24 +127,22 @@ std::optional<DeltaCsrMatrix> DeltaCsrMatrix::compress_serial(const CsrMatrix& c
       }
     }
   }
-  SPARTA_CHECK_STRUCTURE(out);
+  SPARTA_CHECK_STRUCTURE(out, csr);
   return out;
 }
 
-std::size_t DeltaCsrMatrix::index_bytes() const {
-  const std::size_t delta_bytes =
-      width_ == DeltaWidth::k8 ? deltas8_.size() * sizeof(std::uint8_t)
-                               : deltas16_.size() * sizeof(std::uint16_t);
-  return rowptr_.size() * sizeof(offset_t) + first_col_.size() * sizeof(index_t) + delta_bytes;
+std::size_t DeltaCsrMatrix::bytes() const {
+  return first_col_.size() * sizeof(index_t) + deltas8_.size() * sizeof(std::uint8_t) +
+         deltas16_.size() * sizeof(std::uint16_t);
 }
 
-CsrMatrix DeltaCsrMatrix::decompress() const {
-  numa_vector<offset_t> rowptr(rowptr_.begin(), rowptr_.end());
-  numa_vector<index_t> colind(static_cast<std::size_t>(nnz()));
-  numa_vector<value_t> values(values_.begin(), values_.end());
-  for (index_t i = 0; i < nrows_; ++i) {
-    const auto b = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i)]);
-    const auto e = static_cast<std::size_t>(rowptr_[static_cast<std::size_t>(i) + 1]);
+CsrMatrix DeltaCsrMatrix::decompress(const CsrMatrix& source) const {
+  const auto rp = source.rowptr();
+  const auto vals = source.values();
+  numa_vector<index_t> colind(static_cast<std::size_t>(source.nnz()));
+  for (index_t i = 0; i < source.nrows(); ++i) {
+    const auto b = static_cast<std::size_t>(rp[static_cast<std::size_t>(i)]);
+    const auto e = static_cast<std::size_t>(rp[static_cast<std::size_t>(i) + 1]);
     index_t col = b < e ? first_col_[static_cast<std::size_t>(i)] : 0;
     for (std::size_t j = b; j < e; ++j) {
       if (j > b) {
@@ -169,7 +152,8 @@ CsrMatrix DeltaCsrMatrix::decompress() const {
       colind[j] = col;
     }
   }
-  return CsrMatrix{nrows_, ncols_, std::move(rowptr), std::move(colind), std::move(values)};
+  return CsrMatrix{source.nrows(), source.ncols(), numa_vector<offset_t>(rp.begin(), rp.end()),
+                   std::move(colind), numa_vector<value_t>(vals.begin(), vals.end())};
 }
 
 }  // namespace sparta

@@ -1,4 +1,5 @@
-// Delta-compressed CSR — the paper's MB-class optimization (Table II).
+// Delta-compressed column indices — the paper's MB-class optimization
+// (Table II).
 //
 // Column indices are stored as deltas from the previous nonzero in the same
 // row (the first nonzero of each row stores its absolute column in a
@@ -6,6 +7,10 @@
 // both, in order to limit the branching overhead" (paper §III-E). When a
 // matrix has a delta that does not fit in 16 bits, compression is refused
 // and the caller keeps plain CSR.
+//
+// Only the column stream is compressed, so the format stores only first_col
+// and the delta stream: a delta kernel reads rowptr and values from the
+// source CSR it was compressed from (or from first-touch copies of them).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +26,7 @@ namespace sparta {
 /// Width of the delta stream.
 enum class DeltaWidth : std::uint8_t { k8 = 1, k16 = 2 };
 
-/// CSR with a compressed column-index stream.
+/// The compressed column stream of a CSR matrix.
 class DeltaCsrMatrix {
  public:
   /// Attempt compression. Returns std::nullopt when any intra-row column
@@ -39,36 +44,27 @@ class DeltaCsrMatrix {
   /// or std::nullopt when 16 bits do not suffice.
   static std::optional<DeltaWidth> pick_width(const CsrMatrix& csr);
 
-  [[nodiscard]] index_t nrows() const { return nrows_; }
-  [[nodiscard]] index_t ncols() const { return ncols_; }
-  [[nodiscard]] offset_t nnz() const { return rowptr_.back(); }
   [[nodiscard]] DeltaWidth width() const { return width_; }
 
-  [[nodiscard]] std::span<const offset_t> rowptr() const { return rowptr_; }
   [[nodiscard]] std::span<const index_t> first_col() const { return first_col_; }
   [[nodiscard]] std::span<const std::uint8_t> deltas8() const { return deltas8_; }
   [[nodiscard]] std::span<const std::uint16_t> deltas16() const { return deltas16_; }
-  [[nodiscard]] std::span<const value_t> values() const { return values_; }
 
-  /// Bytes of the compressed index structures (rowptr + first_col + deltas).
-  [[nodiscard]] std::size_t index_bytes() const;
-  [[nodiscard]] std::size_t value_bytes() const { return values_.size() * sizeof(value_t); }
-  [[nodiscard]] std::size_t bytes() const { return index_bytes() + value_bytes(); }
+  /// Bytes of the compressed column stream (first_col + deltas), which
+  /// stands in for the source's colind.
+  [[nodiscard]] std::size_t bytes() const;
 
-  /// Expand back to plain CSR (round-trip tested).
-  [[nodiscard]] CsrMatrix decompress() const;
+  /// `source`, the matrix this stream was compressed from, with its colind
+  /// rebuilt from the stream (round-trip tested).
+  [[nodiscard]] CsrMatrix decompress(const CsrMatrix& source) const;
 
  private:
   DeltaCsrMatrix() = default;
 
-  index_t nrows_ = 0;
-  index_t ncols_ = 0;
   DeltaWidth width_ = DeltaWidth::k8;
-  numa_vector<offset_t> rowptr_;
   numa_vector<index_t> first_col_;      // absolute column of each row's first nnz
   numa_vector<std::uint8_t> deltas8_;   // used when width_ == k8; nnz entries
   numa_vector<std::uint16_t> deltas16_; // used when width_ == k16; nnz entries
-  numa_vector<value_t> values_;
 };
 
 }  // namespace sparta

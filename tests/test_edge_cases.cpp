@@ -41,7 +41,7 @@ TEST(EdgeCases, EmptyMatrixThroughFormats) {
   const CsrMatrix m = empty_matrix();
   const auto d = DeltaCsrMatrix::compress(m);
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->decompress(), m);
+  EXPECT_EQ(d->decompress(m), m);
 }
 
 TEST(EdgeCases, OneByOneEverywhere) {

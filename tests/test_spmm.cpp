@@ -1,10 +1,11 @@
 // Multi-vector SpMM correctness: the width-1 block path must be bit-identical
 // to the span path for every kernel config the tuner can emit, and the row
-// plans to a per-row loop over the scalar row body,
-// wider operands must agree with k independent SpMVs to reduction rounding,
-// and the alpha/beta generalization must honor its identities. Also covers
-// the block_width preparation hint, operand shape checks, run_team inside a
-// caller's region, and the engine's spmm.
+// plans to a per-row loop over the scalar row body; a prefetch and first
+// touch must change no output bit; wider operands must agree with k
+// independent SpMVs to reduction rounding, and the alpha/beta generalization
+// must honor its identities. Also covers the block_width preparation hint,
+// operand shape checks, run_team inside a caller's region, and the engine's
+// spmm.
 #include <gtest/gtest.h>
 
 #include <omp.h>
@@ -21,6 +22,7 @@
 #include "kernels/kernel_registry.hpp"
 #include "kernels/spmv_kernels.hpp"
 #include "sparse/coo.hpp"
+#include "sparse/delta_csr.hpp"
 #include "sparse/partition.hpp"
 #include "tuner/optimizations.hpp"
 
@@ -88,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(AllSweepConfigs, SpmmWidth1BitIdentity,
                          });
 
 /// y = A x by a serial loop over the scalar row body a contiguous width-1
-/// product runs per row.
+/// product runs per row, bounded by the view's nonzero count as there.
 template <bool V, bool U, bool P>
 aligned_vector<value_t> per_row_product(const CsrMatrix& m, std::span<const value_t> x) {
   aligned_vector<value_t> y(static_cast<std::size_t>(m.nrows()));
@@ -96,7 +98,7 @@ aligned_vector<value_t> per_row_product(const CsrMatrix& m, std::span<const valu
   for (index_t i = 0; i < m.nrows(); ++i) {
     const auto k = static_cast<std::size_t>(i);
     y[k] = kernels::detail::csr_row<V, U, P>(m.colind().data(), m.values().data(), x.data(),
-                                             rp[k], rp[k + 1]);
+                                             rp[k], rp[k + 1], m.nnz());
   }
   return y;
 }
@@ -269,6 +271,82 @@ TEST(PrefetchBitIdentity, FusedDotMatchesPlanWithoutPrefetch) {
         aligned_vector<value_t> got = want;
         const auto want_dot = fused(plan, want);
         const auto got_dot = fused(with_pf, got);
+        expect_bitwise(got, want);
+        for (std::size_t t = 0; t < got_dot.size(); ++t) {
+          EXPECT_EQ(got_dot[t], want_dot[t]) << "thread " << t;
+        }
+      }
+    }
+  }
+}
+
+// --- First touch changes no output bit -------------------------------------
+
+// Each delta plan (8- and 16-bit streams, plain and +vec) and the row plan
+// (plain and W3's csr+vec+unroll+pf) write the same Y and the same fused-dot
+// partials with first touch as without it, at 1, 3 and 4 threads: the
+// first-touch copies hold rowptr, the column stream (colind, or first_col
+// and the deltas) and values, and a delta plan reads rowptr and values
+// through the copied CSR view.
+TEST(FirstTouchBitIdentity, PlansMatchTheirPlanWithoutFirstTouch) {
+  const std::array<std::pair<const char*, CsrMatrix>, 2> matrices{
+      std::pair{"delta8", gen::banded(900, 40, 7, 470)},
+      std::pair{"delta16", gen::banded(3000, 1400, 9, 471)}};
+  ASSERT_EQ(DeltaCsrMatrix::pick_width(matrices[0].second), DeltaWidth::k8);
+  ASSERT_EQ(DeltaCsrMatrix::pick_width(matrices[1].second), DeltaWidth::k16);
+  sim::KernelConfig delta;
+  delta.delta = true;
+  sim::KernelConfig delta_vec = delta;
+  delta_vec.vectorized = true;
+  sim::KernelConfig row_pf;
+  row_pf.vectorized = row_pf.unrolled = row_pf.prefetch = true;
+  for (const auto& entry : matrices) {
+    const CsrMatrix& m = entry.second;
+    const auto rows = static_cast<std::size_t>(m.nrows());
+    const auto cols = static_cast<std::size_t>(m.ncols());
+    for (const sim::KernelConfig& cfg : {delta, delta_vec, sim::KernelConfig{}, row_pf}) {
+      for (const int threads : {1, 3, 4}) {
+        SCOPED_TRACE(std::string{entry.first} + " " + cfg.describe() + " threads " +
+                     std::to_string(threads));
+        const kernels::PreparedSpmv off{m, kernels::SpmvOptions{.config = cfg, .threads = threads}};
+        const kernels::PreparedSpmv on{
+            m, kernels::SpmvOptions{.config = cfg, .threads = threads, .first_touch = true}};
+        ASSERT_TRUE(on.first_touch_applied());
+        ASSERT_FALSE(off.first_touch_applied());
+        ASSERT_EQ(on.delta_applied(), cfg.delta);
+        for (const int k : {1, 2, 3, 8, 13}) {
+          for (const auto& [alpha, beta] : {std::pair{1.0, 0.0}, std::pair{2.5, -0.5}}) {
+            SCOPED_TRACE("width " + std::to_string(k) + " beta " + std::to_string(beta));
+            const auto kk = static_cast<std::size_t>(k);
+            const auto xs = random_vector(cols * kk, 472 + kk);
+            const kernels::ConstDenseBlockView xb{xs.data(), m.ncols(), k, k};
+            aligned_vector<value_t> want = random_vector(rows * kk, 473 + kk);
+            aligned_vector<value_t> got = want;
+            off.run(xb, kernels::DenseBlockView{want.data(), m.nrows(), k, k}, alpha, beta);
+            on.run(xb, kernels::DenseBlockView{got.data(), m.nrows(), k, k}, alpha, beta);
+            expect_bitwise(got, want);
+          }
+        }
+        // y = 2.5 A x - 0.5 y fused with w.y; each team thread's partial sum.
+        const auto x = random_vector(cols, 474);
+        const auto w = random_vector(rows, 475);
+        const auto fused = [&x, &w, threads](const kernels::PreparedSpmv& plan,
+                                             aligned_vector<value_t>& y) {
+          std::vector<double> partial(static_cast<std::size_t>(threads));
+          const auto xb = kernels::ConstDenseBlockView::from_vector(x);
+          const auto yb = kernels::DenseBlockView::from_vector(y);
+          const std::span<const value_t> ws{w};
+#pragma omp parallel default(none) num_threads(threads) shared(plan, xb, yb, ws, partial)
+          {
+            partial[static_cast<std::size_t>(omp_get_thread_num())] =
+                plan.run_team(xb, yb, 2.5, -0.5, ws);
+          }
+          return partial;
+        };
+        aligned_vector<value_t> want = random_vector(rows, 476);
+        aligned_vector<value_t> got = want;
+        const auto want_dot = fused(off, want);
+        const auto got_dot = fused(on, got);
         expect_bitwise(got, want);
         for (std::size_t t = 0; t < got_dot.size(); ++t) {
           EXPECT_EQ(got_dot[t], want_dot[t]) << "thread " << t;
