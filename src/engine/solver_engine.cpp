@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/numa.hpp"
 #include "common/timer.hpp"
@@ -14,24 +17,75 @@ namespace sparta::engine {
 
 namespace {
 
-/// Cache-line-padded per-thread reduction slot: threads write their partials
-/// here between barriers and one thread combines them in tid order, so every
-/// reduction is atomic-free and deterministic for a fixed thread count.
-struct alignas(kCacheLineBytes) Slot {
+/// The two scalars of one team sum.
+struct Sums {
   double a = 0.0;
   double b = 0.0;
 };
 
-double sum_a(const aligned_vector<Slot>& slots, int nt) {
-  double acc = 0.0;
-  for (int t = 0; t < nt; ++t) acc += slots[static_cast<std::size_t>(t)].a;
-  return acc;
-}
+/// One thread's cache-line-padded reduction slot.
+struct alignas(kCacheLineBytes) Slot : Sums {};
 
-double sum_b(const aligned_vector<Slot>& slots, int nt) {
-  double acc = 0.0;
-  for (int t = 0; t < nt; ++t) acc += slots[static_cast<std::size_t>(t)].b;
-  return acc;
+/// One thread's handle on a solve's region, built by every thread inside
+/// it: the plan parts the thread owns, and the team sum.
+class Team {
+ public:
+  /// `slots` holds two banks of omp_get_num_threads() slots or more.
+  Team(std::span<const RowRange> parts, std::span<Slot> slots)
+      : parts_(parts),
+        slots_(slots),
+        tid_(static_cast<std::size_t>(omp_get_thread_num())),
+        nt_(static_cast<std::size_t>(omp_get_num_threads())) {}
+
+  /// body(range) for each part this thread owns.
+  template <class Body>
+  void for_owned(Body&& body) const {
+    for (std::size_t pi = tid_; pi < parts_.size(); pi += nt_) body(parts_[pi]);
+  }
+
+  /// The team's sums of every thread's (a, b). Every thread of the region
+  /// calls it, equally often: the thread writes its slot, passes one
+  /// barrier, then adds all slots in tid order itself, so every thread
+  /// returns the same bits (no atomics; deterministic for a fixed thread
+  /// count). Bank rule: consecutive sums use alternate banks, so a thread
+  /// writes a bank again only after the barrier of the sum in between,
+  /// which no thread reaches before it has read that bank.
+  Sums sum(double a, double b = 0.0) {
+    const std::span<Slot> bank = slots_.subspan(bank_ * nt_, nt_);
+    bank[tid_].a = a;
+    bank[tid_].b = b;
+#pragma omp barrier
+    Sums s;
+    for (const Slot& slot : bank) {
+      s.a += slot.a;
+      s.b += slot.b;
+    }
+    bank_ ^= 1;
+    return s;
+  }
+
+ private:
+  std::span<const RowRange> parts_;
+  std::span<Slot> slots_;
+  std::size_t tid_;
+  std::size_t nt_;
+  std::size_t bank_ = 0;
+};
+
+/// The setup pass: this thread zeroes its rows of `vecs` (their first
+/// touch), and the team returns the stopping threshold tol * ||b|| (tol
+/// when b = 0).
+double setup(Team& team, std::span<const value_t> b,
+             std::initializer_list<std::span<value_t>> vecs, double tol) {
+  double bb_p = 0.0;
+  team.for_owned([&](RowRange rng) {
+    const auto lo = static_cast<std::size_t>(rng.begin);
+    const auto len = static_cast<std::size_t>(rng.size());
+    for (const std::span<value_t> v : vecs) std::ranges::fill(v.subspan(lo, len), 0.0);
+    for (const value_t bk : b.subspan(lo, len)) bb_p += bk * bk;
+  });
+  const double bn = std::sqrt(team.sum(bb_p).a);
+  return tol * (bn > 0.0 ? bn : 1.0);
 }
 
 /// y = A x through the plan's phases, called by every thread of the
@@ -41,6 +95,101 @@ double product(const kernels::PreparedSpmv& spmv, std::span<const value_t> x,
   return spmv.run_team(kernels::ConstDenseBlockView::from_vector(x),
                        kernels::DenseBlockView::from_vector(y), 1.0, 0.0, w);
 }
+
+/// A method's error-message prefix and registry names.
+struct Method {
+  const char* name;
+  const char* solves;
+  const char* iterations;
+  const char* iter_micros;
+};
+
+constexpr Method kCg{"engine cg", "engine.cg.solves", "engine.cg.iterations",
+                     "engine.cg.iter_micros"};
+constexpr Method kBicgstab{"engine bicgstab", "engine.bicgstab.solves",
+                           "engine.bicgstab.iterations", "engine.bicgstab.iter_micros"};
+
+/// One solve's bookkeeping, the same for both methods. The constructor
+/// checks the operands and allocates the team's two slot banks and, with
+/// telemetry on, the per-iteration series, so the loop writes them by
+/// index and never allocates. Inside the region thread 0 alone calls the
+/// stopwatch and record methods; finish() runs after the region.
+class Solve {
+ public:
+  Solve(const Method& method, const CsrMatrix& a, std::span<const value_t> b,
+        std::span<const value_t> x, int max_iterations, int threads)
+      : method_(method), slots_(2 * static_cast<std::size_t>(threads)) {
+    if (a.nrows() != a.ncols()) {
+      throw std::invalid_argument{std::string{method.name} + ": matrix must be square"};
+    }
+    const auto n = static_cast<std::size_t>(a.nrows());
+    if (b.size() != n || x.size() != n) {
+      throw std::invalid_argument{std::string{method.name} + ": vector size mismatch"};
+    }
+    if (track_) {
+      const auto len = static_cast<std::size_t>(
+          std::min(max_iterations, solvers::SolveResult::kSeriesLimit));
+      result_.residual_history.resize(len);
+      result_.iter_seconds.resize(len);
+    }
+  }
+
+  [[nodiscard]] std::span<Slot> slots() { return slots_; }
+
+  /// Starts the iteration's stopwatch and its first product's.
+  void start_iteration() {
+    iteration_.reset();
+    pass_.reset();
+  }
+  void start_pass() { pass_.reset(); }
+  /// A fused product and its team sum are done.
+  void end_pass() {
+    result_.spmv_seconds += pass_.seconds();
+    ++fused_passes_;
+  }
+  /// Iteration `it` left ||r||^2 = rr.
+  void record(int it, double rr) {
+    const auto k = static_cast<std::size_t>(it);
+    if (k >= result_.residual_history.size()) return;
+    result_.residual_history[k] = std::sqrt(rr);
+    result_.iter_seconds[k] = iteration_.seconds();
+  }
+  /// The loop ended after `iterations` iterations with ||r||^2 = rr.
+  void stop(int iterations, bool converged, double rr) {
+    result_.iterations = iterations;
+    result_.converged = converged;
+    result_.residual_norm = std::sqrt(rr);
+  }
+
+  /// Trims the series to the iterations run, adds the wall time and counts
+  /// the solve in the registry.
+  solvers::SolveResult finish() {
+    const auto kept = std::min(result_.residual_history.size(),
+                               static_cast<std::size_t>(result_.iterations));
+    result_.residual_history.resize(kept);
+    result_.iter_seconds.resize(kept);
+    result_.seconds = total_.seconds();
+    auto& reg = obs::Registry::global();
+    reg.counter(method_.solves).add();
+    reg.counter(method_.iterations).add(result_.iterations);
+    reg.counter("engine.fused_spmv_dot.passes").add(fused_passes_);
+    if (track_) {
+      const obs::Histogram h = reg.histogram(method_.iter_micros);
+      for (double s : result_.iter_seconds) h.record(s * 1e6);
+    }
+    return std::move(result_);
+  }
+
+ private:
+  const Method& method_;
+  const bool track_ = obs::enabled();
+  Timer total_;
+  aligned_vector<Slot> slots_;
+  solvers::SolveResult result_;
+  Timer iteration_;  // thread 0's stopwatches
+  Timer pass_;
+  int fused_passes_ = 0;
+};
 
 }  // namespace
 
@@ -92,88 +241,33 @@ void SolverEngine::init_jacobi() {
 
 solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
                                       std::span<value_t> x) const {
-  const CsrMatrix& a = *a_;
-  if (a.nrows() != a.ncols()) throw std::invalid_argument{"engine cg: matrix must be square"};
-  const auto n = static_cast<std::size_t>(a.nrows());
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument{"engine cg: vector size mismatch"};
-  }
-
+  Solve solve{kCg, *a_, b, x, opts_.max_iterations, threads_};
   const auto parts = prepared_->region_parts();
-  const int nparts = static_cast<int>(parts.size());
   const bool jacobi = opts_.jacobi;
   const double tol = opts_.tolerance;
   const int max_it = opts_.max_iterations;
   const std::span<const value_t> inv_diag = inv_diag_;
-
-  solvers::SolveResult result;
-  Timer total;
+  const kernels::PreparedSpmv& spmv = *prepared_;
 
   // Untouched storage: each thread first-touches its owned rows below.
+  const std::size_t n = b.size();
   NumaArray<value_t> r_buf(n), p_buf(n), ap_buf(n), z_buf(n);
   const auto r = r_buf.span();
   const auto p = p_buf.span();
   const auto ap = ap_buf.span();
   const auto z = z_buf.span();
 
-  aligned_vector<Slot> slots(static_cast<std::size_t>(threads_));
-
-  // Iteration scalars, written only inside `single` blocks; every thread
-  // reads them after the single's implicit barrier.
-  struct State {
-    double threshold = 0.0, rr = 0.0, rz = 0.0, alpha = 0.0, beta = 0.0;
-    int iters = 0;
-    bool stop = false, converged = false;
-  } st;
-  double spmv_seconds = 0.0;
-  int fused_passes = 0;
-  // Per-iteration series are preallocated to max_it here and trimmed after
-  // the region, so the iteration singles write by index and the hot loop
-  // never allocates — collected only on request.
-  const bool track = obs::enabled();
-  if (track) {
-    result.residual_history.resize(static_cast<std::size_t>(max_it));
-    result.iter_seconds.resize(static_cast<std::size_t>(max_it));
-  }
-  Timer iter_timer;  // shared; reset/read inside barrier-ordered singles
-  const kernels::PreparedSpmv& spmv = *prepared_;
-
-#pragma omp parallel default(none) num_threads(threads_)                                   \
-    shared(parts, nparts, jacobi, tol, max_it, inv_diag, b, x, r, p, ap, z, slots, st,     \
-           track, iter_timer, spmv_seconds, fused_passes, result, spmv)
+#pragma omp parallel default(none) num_threads(threads_) \
+    shared(solve, parts, jacobi, tol, max_it, inv_diag, b, x, r, p, ap, z, spmv)
   {
-    const int nt = omp_get_num_threads();
     const int tid = omp_get_thread_num();
-    Timer pass;  // fused SpMV-phase stopwatch; only thread 0 reads it
+    Team team{parts, solve.slots()};
+    const double threshold = setup(team, b, {r, p, ap, z}, tol);
 
-    const auto for_owned = [&](auto&& body) {
-      for (int pi = tid; pi < nparts; pi += nt) body(parts[static_cast<std::size_t>(pi)]);
-    };
-
-    // Setup: first-touch the owned vector slices; partial ||b||^2.
-    double bb_p = 0.0;
-    for_owned([&](RowRange rng) {
-      for (index_t i = rng.begin; i < rng.end; ++i) {
-        const auto k = static_cast<std::size_t>(i);
-        r[k] = 0.0;
-        p[k] = 0.0;
-        ap[k] = 0.0;
-        z[k] = 0.0;
-        bb_p += b[k] * b[k];
-      }
-    });
-    slots[static_cast<std::size_t>(tid)].a = bb_p;
-#pragma omp barrier
-#pragma omp single
-    {
-      const double bn = std::sqrt(sum_a(slots, nt));
-      st.threshold = tol * (bn > 0.0 ? bn : 1.0);
-    }
-
-    // r = b - A x; z = M^-1 r; p = z; partial rz, rr.
+    // r = b - A x; z = M^-1 r; p = z; rz = r·z, rr = r·r.
     (void)product(spmv, x, ap);
     double rz_p = 0.0, rr_p = 0.0;
-    for_owned([&](RowRange rng) {
+    team.for_owned([&](RowRange rng) {
       for (index_t i = rng.begin; i < rng.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         r[k] = b[k] - ap[k];
@@ -183,102 +277,58 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
         rr_p += r[k] * r[k];
       }
     });
-    slots[static_cast<std::size_t>(tid)] = {rz_p, rr_p};
-#pragma omp barrier
-#pragma omp single
-    {
-      st.rz = sum_a(slots, nt);
-      st.rr = sum_b(slots, nt);
-    }
+    const Sums first = team.sum(rz_p, rr_p);
+    double rz = first.a;
+    double rr = first.b;
+    bool converged = false;
+    int iters = 0;
 
     for (int it = 0; it < max_it; ++it) {
-#pragma omp single
-      {
-        if (std::sqrt(st.rr) <= st.threshold) {
-          st.converged = true;
-          st.stop = true;
-        }
-        if (track && !st.stop) iter_timer.reset();
+      if (std::sqrt(rr) <= threshold) {
+        converged = true;
+        break;
       }
-      if (st.stop) break;
 
       // Fused ap = A p with the dependent reduction p·ap.
-      if (tid == 0) pass.reset();
-      slots[static_cast<std::size_t>(tid)].a = product(spmv, p, ap, p);
-#pragma omp barrier
-      if (tid == 0) {
-        spmv_seconds += pass.seconds();
-        ++fused_passes;
-      }
-#pragma omp single
-      {
-        // Breakdown: zero or negative curvature (A not SPD), or a NaN.
-        const double pap = sum_a(slots, nt);
-        if (!(pap > 0.0)) {
-          st.stop = true;
-        } else {
-          st.alpha = st.rz / pap;
-        }
-      }
-      if (st.stop) break;
+      if (tid == 0) solve.start_iteration();
+      const double pap = team.sum(product(spmv, p, ap, p)).a;
+      if (tid == 0) solve.end_pass();
+      // Breakdown: zero or negative curvature (A not SPD), or a NaN.
+      if (!(pap > 0.0)) break;
+      const double alpha = rz / pap;
 
-      // Fused x += alpha p; r -= alpha ap; z = M^-1 r; partial rz', r·r.
+      // Fused x += alpha p; r -= alpha ap; z = M^-1 r; rz' and r·r.
       double rz_n = 0.0, rr_n = 0.0;
-      for_owned([&](RowRange rng) {
+      team.for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          x[k] += st.alpha * p[k];
-          r[k] -= st.alpha * ap[k];
+          x[k] += alpha * p[k];
+          r[k] -= alpha * ap[k];
           z[k] = jacobi ? inv_diag[k] * r[k] : r[k];
           rz_n += r[k] * z[k];
           rr_n += r[k] * r[k];
         }
       });
-      slots[static_cast<std::size_t>(tid)] = {rz_n, rr_n};
-#pragma omp barrier
-#pragma omp single
-      {
-        const double rz_next = sum_a(slots, nt);
-        st.beta = rz_next / st.rz;
-        st.rz = rz_next;
-        st.rr = sum_b(slots, nt);
-        st.iters = it + 1;
-        if (track) {
-          result.residual_history[static_cast<std::size_t>(it)] = std::sqrt(st.rr);
-          result.iter_seconds[static_cast<std::size_t>(it)] = iter_timer.seconds();
-        }
-      }
+      const Sums next = team.sum(rz_n, rr_n);
+      const double beta = next.a / rz;
+      rz = next.a;
+      rr = next.b;
+      iters = it + 1;
+      if (tid == 0) solve.record(it, rr);
 
-      // p = z + beta p; the barrier publishes p before the next SpMV gathers
-      // it at arbitrary columns.
-      for_owned([&](RowRange rng) {
+      // p = z + beta p; the barrier publishes p before the next product
+      // gathers it at arbitrary columns.
+      team.for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          p[k] = z[k] + st.beta * p[k];
+          p[k] = z[k] + beta * p[k];
         }
       });
 #pragma omp barrier
     }
+    if (tid == 0) solve.stop(iters, converged, rr);
   }
-
-  if (track) {
-    result.residual_history.resize(static_cast<std::size_t>(st.iters));
-    result.iter_seconds.resize(static_cast<std::size_t>(st.iters));
-  }
-  result.iterations = st.iters;
-  result.converged = st.converged;
-  result.residual_norm = std::sqrt(st.rr);
-  result.spmv_seconds = spmv_seconds;
-  result.seconds = total.seconds();
-  auto& reg = obs::Registry::global();
-  reg.counter("engine.cg.solves").add();
-  reg.counter("engine.cg.iterations").add(st.iters);
-  reg.counter("engine.fused_spmv_dot.passes").add(fused_passes);
-  if (track) {
-    const obs::Histogram h = reg.histogram("engine.cg.iter_micros");
-    for (double s : result.iter_seconds) h.record(s * 1e6);
-  }
-  return result;
+  return solve.finish();
 }
 
 void SolverEngine::spmm(kernels::ConstDenseBlockView x, kernels::DenseBlockView y,
@@ -291,23 +341,13 @@ void SolverEngine::spmm(kernels::ConstDenseBlockView x, kernels::DenseBlockView 
 
 solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
                                             std::span<value_t> x) const {
-  const CsrMatrix& a = *a_;
-  if (a.nrows() != a.ncols()) {
-    throw std::invalid_argument{"engine bicgstab: matrix must be square"};
-  }
-  const auto n = static_cast<std::size_t>(a.nrows());
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument{"engine bicgstab: vector size mismatch"};
-  }
-
+  Solve solve{kBicgstab, *a_, b, x, opts_.max_iterations, threads_};
   const auto parts = prepared_->region_parts();
-  const int nparts = static_cast<int>(parts.size());
   const double tol = opts_.tolerance;
   const int max_it = opts_.max_iterations;
+  const kernels::PreparedSpmv& spmv = *prepared_;
 
-  solvers::SolveResult result;
-  Timer total;
-
+  const std::size_t n = b.size();
   NumaArray<value_t> r_buf(n), r0_buf(n), p_buf(n), v_buf(n), s_buf(n), t_buf(n);
   const auto r = r_buf.span();
   const auto r0 = r0_buf.span();
@@ -316,64 +356,17 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
   const auto s = s_buf.span();
   const auto t = t_buf.span();
 
-  aligned_vector<Slot> slots(static_cast<std::size_t>(threads_));
-
-  struct State {
-    double threshold = 0.0, rr = 0.0, rho = 0.0, alpha = 0.0, beta = 0.0, omega = 0.0,
-           ss = 0.0;
-    int iters = 0;
-    bool stop = false, converged = false, early = false;
-  } st;
-  double spmv_seconds = 0.0;
-  int fused_passes = 0;
-  const bool track = obs::enabled();
-  if (track) {
-    // Preallocated outside the region, trimmed after it: the iteration
-    // singles write by index so the hot loop never allocates.
-    result.residual_history.resize(static_cast<std::size_t>(max_it));
-    result.iter_seconds.resize(static_cast<std::size_t>(max_it));
-  }
-  Timer iter_timer;  // shared; reset/read inside barrier-ordered singles
-  const kernels::PreparedSpmv& spmv = *prepared_;
-
-#pragma omp parallel default(none) num_threads(threads_)                                   \
-    shared(parts, nparts, tol, max_it, b, x, r, r0, p, v, s, t, slots, st, track,          \
-           iter_timer, spmv_seconds, fused_passes, result, spmv)
+#pragma omp parallel default(none) num_threads(threads_) \
+    shared(solve, parts, tol, max_it, b, x, r, r0, p, v, s, t, spmv)
   {
-    const int nt = omp_get_num_threads();
     const int tid = omp_get_thread_num();
-    Timer pass;
-
-    const auto for_owned = [&](auto&& body) {
-      for (int pi = tid; pi < nparts; pi += nt) body(parts[static_cast<std::size_t>(pi)]);
-    };
-
-    // Setup: first-touch owned slices; partial ||b||^2.
-    double bb_p = 0.0;
-    for_owned([&](RowRange rng) {
-      for (index_t i = rng.begin; i < rng.end; ++i) {
-        const auto k = static_cast<std::size_t>(i);
-        r[k] = 0.0;
-        r0[k] = 0.0;
-        p[k] = 0.0;
-        v[k] = 0.0;
-        s[k] = 0.0;
-        t[k] = 0.0;
-        bb_p += b[k] * b[k];
-      }
-    });
-    slots[static_cast<std::size_t>(tid)].a = bb_p;
-#pragma omp barrier
-#pragma omp single
-    {
-      const double bn = std::sqrt(sum_a(slots, nt));
-      st.threshold = tol * (bn > 0.0 ? bn : 1.0);
-    }
+    Team team{parts, solve.slots()};
+    const double threshold = setup(team, b, {r, r0, p, v, s, t}, tol);
 
     // r = b - A x; r0 = p = r (shadow residual); rho = r0·r = r·r.
     (void)product(spmv, x, v);
     double rho_p = 0.0;
-    for_owned([&](RowRange rng) {
+    team.for_owned([&](RowRange rng) {
       for (index_t i = rng.begin; i < rng.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         r[k] = b[k] - v[k];
@@ -382,168 +375,99 @@ solvers::SolveResult SolverEngine::bicgstab(std::span<const value_t> b,
         rho_p += r[k] * r[k];
       }
     });
-    slots[static_cast<std::size_t>(tid)].a = rho_p;
-#pragma omp barrier
-#pragma omp single
-    {
-      st.rho = sum_a(slots, nt);
-      st.rr = st.rho;
-    }
+    double rho = team.sum(rho_p).a;
+    double rr = rho;
+    bool converged = false;
+    int iters = 0;
 
     for (int it = 0; it < max_it; ++it) {
-#pragma omp single
-      {
-        if (std::sqrt(st.rr) <= st.threshold) {
-          st.converged = true;
-          st.stop = true;
-        } else if (!(std::abs(st.rho) > 0.0)) {
-          st.stop = true;  // breakdown: zero or NaN
-        }
-        if (track && !st.stop) iter_timer.reset();
+      if (std::sqrt(rr) <= threshold) {
+        converged = true;
+        break;
       }
-      if (st.stop) break;
+      if (!(std::abs(rho) > 0.0)) break;  // breakdown: zero or NaN
 
       // Fused v = A p with r0·v.
-      if (tid == 0) pass.reset();
-      slots[static_cast<std::size_t>(tid)].a = product(spmv, p, v, r0);
-#pragma omp barrier
-      if (tid == 0) {
-        spmv_seconds += pass.seconds();
-        ++fused_passes;
-      }
-#pragma omp single
-      {
-        const double r0v = sum_a(slots, nt);
-        if (!(std::abs(r0v) > 0.0)) {
-          st.stop = true;
-        } else {
-          st.alpha = st.rho / r0v;
-        }
-      }
-      if (st.stop) break;
+      if (tid == 0) solve.start_iteration();
+      const double r0v = team.sum(product(spmv, p, v, r0)).a;
+      if (tid == 0) solve.end_pass();
+      if (!(std::abs(r0v) > 0.0)) break;
+      const double alpha = rho / r0v;
 
       // Fused s = r - alpha v with ||s||^2.
       double ss_p = 0.0;
-      for_owned([&](RowRange rng) {
+      team.for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          s[k] = r[k] - st.alpha * v[k];
+          s[k] = r[k] - alpha * v[k];
           ss_p += s[k] * s[k];
         }
       });
-      slots[static_cast<std::size_t>(tid)].a = ss_p;
-#pragma omp barrier
-#pragma omp single
-      {
-        st.ss = sum_a(slots, nt);
-        if (std::sqrt(st.ss) <= st.threshold) st.early = true;
-      }
-      if (st.early) {
-        for_owned([&](RowRange rng) {
+      const double ss = team.sum(ss_p).a;
+      if (std::sqrt(ss) <= threshold) {
+        // Half-step exit: x += alpha p; r = s. Each thread writes only its
+        // own rows and nothing reads them before the region ends.
+        team.for_owned([&](RowRange rng) {
           for (index_t i = rng.begin; i < rng.end; ++i) {
             const auto k = static_cast<std::size_t>(i);
-            x[k] += st.alpha * p[k];
+            x[k] += alpha * p[k];
             r[k] = s[k];
           }
         });
-#pragma omp barrier
-#pragma omp single
-        {
-          st.iters = it + 1;
-          st.rr = st.ss;
-          st.converged = true;
-          if (track) {
-            result.residual_history[static_cast<std::size_t>(it)] = std::sqrt(st.rr);
-            result.iter_seconds[static_cast<std::size_t>(it)] = iter_timer.seconds();
-          }
-        }
+        rr = ss;
+        converged = true;
+        iters = it + 1;
+        if (tid == 0) solve.record(it, rr);
         break;
       }
 
       // Fused t = A s with t·s, plus the owned-rows t·t in the same phase.
-      if (tid == 0) pass.reset();
+      if (tid == 0) solve.start_pass();
       const double ts_p = product(spmv, s, t, s);
       double tt_p = 0.0;
-      for_owned([&](RowRange rng) {
+      team.for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
           tt_p += t[k] * t[k];
         }
       });
-      slots[static_cast<std::size_t>(tid)] = {ts_p, tt_p};
-#pragma omp barrier
-      if (tid == 0) {
-        spmv_seconds += pass.seconds();
-        ++fused_passes;
-      }
-#pragma omp single
-      {
-        const double ts = sum_a(slots, nt);
-        const double tt = sum_b(slots, nt);
-        if (!(std::abs(tt) > 0.0)) {
-          st.stop = true;
-        } else {
-          st.omega = ts / tt;
-          if (!(std::abs(st.omega) > 0.0)) st.stop = true;
-        }
-      }
-      if (st.stop) break;
+      const Sums ts_tt = team.sum(ts_p, tt_p);
+      if (tid == 0) solve.end_pass();
+      if (!(std::abs(ts_tt.b) > 0.0)) break;
+      const double omega = ts_tt.a / ts_tt.b;
+      if (!(std::abs(omega) > 0.0)) break;
 
       // Fused x, r updates with rho' = r0·r and r·r.
       double rho_n = 0.0, rr_n = 0.0;
-      for_owned([&](RowRange rng) {
+      team.for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          x[k] += st.alpha * p[k] + st.omega * s[k];
-          r[k] = s[k] - st.omega * t[k];
+          x[k] += alpha * p[k] + omega * s[k];
+          r[k] = s[k] - omega * t[k];
           rho_n += r0[k] * r[k];
           rr_n += r[k] * r[k];
         }
       });
-      slots[static_cast<std::size_t>(tid)] = {rho_n, rr_n};
-#pragma omp barrier
-#pragma omp single
-      {
-        const double rho_next = sum_a(slots, nt);
-        st.beta = (rho_next / st.rho) * (st.alpha / st.omega);
-        st.rho = rho_next;
-        st.rr = sum_b(slots, nt);
-        st.iters = it + 1;
-        if (track) {
-          result.residual_history[static_cast<std::size_t>(it)] = std::sqrt(st.rr);
-          result.iter_seconds[static_cast<std::size_t>(it)] = iter_timer.seconds();
-        }
-      }
+      const Sums next = team.sum(rho_n, rr_n);
+      const double beta = (next.a / rho) * (alpha / omega);
+      rho = next.a;
+      rr = next.b;
+      iters = it + 1;
+      if (tid == 0) solve.record(it, rr);
 
-      // p = r + beta (p - omega v); barrier publishes p before the next SpMV.
-      for_owned([&](RowRange rng) {
+      // p = r + beta (p - omega v); the barrier publishes p before the next
+      // product gathers it.
+      team.for_owned([&](RowRange rng) {
         for (index_t i = rng.begin; i < rng.end; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          p[k] = r[k] + st.beta * (p[k] - st.omega * v[k]);
+          p[k] = r[k] + beta * (p[k] - omega * v[k]);
         }
       });
 #pragma omp barrier
     }
+    if (tid == 0) solve.stop(iters, converged, rr);
   }
-
-  if (track) {
-    result.residual_history.resize(static_cast<std::size_t>(st.iters));
-    result.iter_seconds.resize(static_cast<std::size_t>(st.iters));
-  }
-  result.iterations = st.iters;
-  result.converged = st.converged;
-  result.residual_norm = std::sqrt(st.rr);
-  result.spmv_seconds = spmv_seconds;
-  result.seconds = total.seconds();
-  auto& reg = obs::Registry::global();
-  reg.counter("engine.bicgstab.solves").add();
-  reg.counter("engine.bicgstab.iterations").add(st.iters);
-  reg.counter("engine.fused_spmv_dot.passes").add(fused_passes);
-  if (track) {
-    const obs::Histogram h = reg.histogram("engine.bicgstab.iter_micros");
-    for (double s : result.iter_seconds) h.record(s * 1e6);
-  }
-  return result;
+  return solve.finish();
 }
 
 }  // namespace sparta::engine

@@ -14,9 +14,13 @@
 //    long-row decomposed) — the engine never branches on the format;
 //  - SpMV and the dependent BLAS-1 reduction are fused (run_team's `w`),
 //    e.g. y = A·p together with p·y for CG;
-//  - reductions use an atomic-free cache-line-padded per-thread accumulator
-//    array combined by a single thread between barriers, so every thread
-//    observes identical scalars (deterministic for a fixed thread count);
+//  - reductions are team sums without atomics: each thread writes its
+//    partials to its cache-line-padded slot, passes one barrier and adds
+//    all slots in tid order itself, so every thread holds the same scalars
+//    and takes every exit on its own copy (deterministic for a fixed thread
+//    count); consecutive sums alternate between two banks of slots, so one
+//    barrier per sum suffices. An iteration passes 3 barriers in CG and 5
+//    in BiCGSTAB, and only thread 0 writes the result record;
 //  - matrix streams and solver vectors are first-touch initialized by their
 //    owning threads (see NumaArray and PreparedSpmv's first_touch mode).
 //

@@ -31,7 +31,6 @@ class Value {
   Value() = default;
 
   [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
 
   /// Accessors throw std::runtime_error on type mismatch.
   [[nodiscard]] bool boolean() const;

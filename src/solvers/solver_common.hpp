@@ -16,8 +16,11 @@ struct SolveResult {
   double seconds = 0.0;
   double spmv_seconds = 0.0;
   /// Per-iteration series (||r|| after each iteration; wall seconds per
-  /// iteration). Collected only while telemetry is enabled (obs::enabled())
-  /// — empty otherwise, so the hot solver loop never allocates by default.
+  /// iteration) of the first kSeriesLimit iterations, allocated before the
+  /// first one whatever the iteration cap. Collected only while telemetry
+  /// is enabled (obs::enabled()) — empty otherwise, so the hot solver loop
+  /// never allocates by default.
+  static constexpr int kSeriesLimit = 1 << 16;
   std::vector<double> residual_history;
   std::vector<double> iter_seconds;
 };

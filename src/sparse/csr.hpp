@@ -40,7 +40,6 @@ class CsrMatrix {
   [[nodiscard]] std::span<const offset_t> rowptr() const { return rowptr_; }
   [[nodiscard]] std::span<const index_t> colind() const { return colind_; }
   [[nodiscard]] std::span<const value_t> values() const { return values_; }
-  [[nodiscard]] std::span<value_t> values_mut() { return values_; }
 
   /// Number of nonzeros in row i.
   [[nodiscard]] index_t row_nnz(index_t i) const {

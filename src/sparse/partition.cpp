@@ -140,11 +140,4 @@ offset_t range_nnz(const CsrMatrix& m, RowRange r) {
          m.rowptr()[static_cast<std::size_t>(r.begin)];
 }
 
-void validate_partition(const std::vector<RowRange>& parts, index_t nrows) {
-  // Unconditional full check (historical contract of this entry point); the
-  // named-violation implementation lives with the other structural
-  // validators in src/check/.
-  check::validate_partition(parts, nrows, check::Level::kFull);
-}
-
 }  // namespace sparta

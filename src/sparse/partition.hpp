@@ -59,8 +59,4 @@ std::vector<RowRange> partition_equal_rows(index_t nrows, int nparts, int thread
 /// Nonzeros inside a row range.
 offset_t range_nnz(const CsrMatrix& m, RowRange r);
 
-/// Validate that `parts` is an ordered exact cover of [0, nrows).
-/// Throws std::invalid_argument otherwise.
-void validate_partition(const std::vector<RowRange>& parts, index_t nrows);
-
 }  // namespace sparta

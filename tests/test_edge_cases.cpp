@@ -4,6 +4,7 @@
 // are the inputs that break real libraries.
 #include <gtest/gtest.h>
 
+#include "check/validate.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "sparse/delta_csr.hpp"
@@ -128,7 +129,7 @@ TEST(EdgeCases, AllRowsEmptyExceptOne) {
   coo.add(500, 499, 7.0);
   const CsrMatrix m = CsrMatrix::from_coo(coo);
   const auto parts = partition_balanced_nnz(m, 8);
-  validate_partition(parts, 1000);
+  check::validate_partition(parts, 1000);
   aligned_vector<value_t> x(1000, 1.0), y(1000, -1.0);
   kernels::PreparedSpmv{m, kernels::SpmvOptions{.threads = 8}}.run(x, y);
   EXPECT_DOUBLE_EQ(y[500], 7.0);

@@ -4,16 +4,19 @@
 // partition and solver edge cases, adopting a prepared plan, agreement of
 // the fused solvers with the serial reference solvers (reference_solvers.hpp)
 // on the generator suite and on every plan (the engine runs the plan it is
-// given), the per-product telemetry, NaN breakdown, and the determinism
-// contract.
+// given), the per-product telemetry and its bounded series, NaN breakdown,
+// every solver exit at several team sizes, and the determinism contract.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "check/validate.hpp"
 #include "common/prng.hpp"
 #include "engine/solver_engine.hpp"
 #include "gen/generators.hpp"
@@ -135,8 +138,7 @@ TEST(RegionApi, SingleRowMatrixWithAllNnz) {
 
   const kernels::PreparedSpmv prepared{
       a, kernels::SpmvOptions{.threads = 4, .first_touch = true}};
-  validate_partition(
-      {prepared.region_parts().begin(), prepared.region_parts().end()}, a.nrows());
+  check::validate_partition(prepared.region_parts(), a.nrows());
   aligned_vector<value_t> y(1, 0.0);
   (void)run_serial(prepared, x, y);
   EXPECT_NEAR(y[0], expect[0], 1e-12 * (1.0 + std::abs(expect[0])));
@@ -146,7 +148,7 @@ TEST(Partitioning, MorePartsThanRowsStillCovers) {
   const CsrMatrix a = gen::stencil5(2, 2);  // 4 rows
   const auto parts = partition_balanced_nnz(a, 9);
   ASSERT_EQ(parts.size(), 9u);
-  validate_partition(parts, a.nrows());
+  check::validate_partition(parts, a.nrows());
   offset_t covered = 0;
   for (const auto& r : parts) covered += range_nnz(a, r);
   EXPECT_EQ(covered, a.nnz());
@@ -558,13 +560,16 @@ TEST(EnginePlans, BicgstabMatchesReferenceOnDecomposedDynamicAndSymmetricPlans) 
 
 // --- Telemetry: every product is counted once ------------------------------
 
+/// Telemetry on for the scope, restored after it.
+struct TelemetryOn {
+  bool saved = obs::enabled();
+  TelemetryOn() { obs::set_enabled(true); }
+  ~TelemetryOn() { obs::set_enabled(saved); }
+};
+
 TEST(EngineTelemetry, CgCountsEveryProduct) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-  struct EnabledGuard {
-    bool saved = obs::enabled();
-    EnabledGuard() { obs::set_enabled(true); }
-    ~EnabledGuard() { obs::set_enabled(saved); }
-  } const guard;
+  const TelemetryOn guard;
   const auto total = [](std::string_view name) {
     for (const auto& s : obs::Registry::global().snapshot()) {
       if (s.name == name) return s.value;
@@ -601,6 +606,104 @@ TEST(SolverBreakdown, NanRhsStopsEverySolver) {
   check("engine cg", eng.cg(b, x));
   std::fill(x.begin(), x.end(), 0.0);
   check("engine bicgstab", eng.bicgstab(b, x));
+}
+
+// --- Every exit, at every team size -----------------------------------------
+
+/// `pairs` copies of the 2x2 block {{d[0], d[1]}, {d[2], d[3]}} down the
+/// diagonal; zero entries are not stored.
+CsrMatrix block_diagonal(index_t pairs, std::array<value_t, 4> d) {
+  CooMatrix coo{2 * pairs, 2 * pairs};
+  for (index_t k = 0; k < 2 * pairs; k += 2) {
+    for (std::size_t e = 0; e < d.size(); ++e) {
+      const auto di = static_cast<index_t>(e / 2), dj = static_cast<index_t>(e % 2);
+      if (d[e] != 0.0) coo.add(k + di, k + dj, d[e]);
+    }
+  }
+  return CsrMatrix::from_coo(coo);
+}
+
+/// A system that leaves the solver loop through one exit, x0 = 0.
+struct ExitCase {
+  const char* name;
+  bool cg;
+  CsrMatrix a;
+  aligned_vector<value_t> b;
+  int max_iterations;
+  int iterations;  // expected
+  bool converged;  // expected
+};
+
+/// Every thread decides each exit on its own copy of the team's sums, so a
+/// team whose threads disagreed would deadlock at its next barrier. Each
+/// system below leaves through a different exit, at every team size, with
+/// the reference's iteration count and verdict.
+TEST(SolverExits, EveryExitMatchesReferenceAtEveryTeamSize) {
+  const index_t pairs = 40;
+  const auto n = static_cast<std::size_t>(2 * pairs);
+  aligned_vector<value_t> one_half(n);
+  for (std::size_t i = 0; i < n; ++i) one_half[i] = i % 2 == 0 ? 1.0 : 0.5;
+  const CsrMatrix stencil = gen::stencil5(10, 10);
+  const auto stencil_b = random_vector(static_cast<std::size_t>(stencil.nrows()), 680);
+
+  std::vector<ExitCase> cases;
+  // p·Ap = 0.75 n/2 at iteration 0, then negative: curvature breakdown.
+  cases.push_back({"cg curvature", true, block_diagonal(pairs, {1.0, 0.0, 0.0, -1.0}),
+                   one_half, 100, 1, false});
+  // alpha = 1/2 makes s = r - alpha A r vanish to rounding: the half-step exit.
+  cases.push_back({"bicgstab half step", false, block_diagonal(pairs, {2.0, 0.0, 0.0, 2.0}),
+                   random_vector(n, 681), 100, 1, true});
+  // r0 = b and v = A b are orthogonal for a skew-symmetric A.
+  cases.push_back({"bicgstab r0·v = 0", false, block_diagonal(pairs, {0.0, 1.0, -1.0, 0.0}),
+                   aligned_vector<value_t>(n, 1.0), 100, 0, false});
+  for (const int cap : {0, 1}) {
+    for (const bool cg : {true, false}) {
+      cases.push_back({cg ? "cg capped" : "bicgstab capped", cg, stencil, stencil_b, cap, cap,
+                       false});
+    }
+  }
+
+  for (const ExitCase& c : cases) {
+    for (const int threads : {1, 2, 3, 4, 7}) {
+      SCOPED_TRACE(std::string{c.name} + " max_iterations=" + std::to_string(c.max_iterations) +
+                   " at " + std::to_string(threads) + " threads");
+      const engine::EngineOptions opts{.threads = threads, .max_iterations = c.max_iterations};
+      aligned_vector<value_t> x_fused(c.b.size(), 0.0), x_ref(c.b.size(), 0.0);
+      const engine::SolverEngine eng{c.a, sim::KernelConfig{}, opts};
+      const auto rf = c.cg ? eng.cg(c.b, x_fused) : eng.bicgstab(c.b, x_fused);
+      const auto rr = c.cg ? reference::cg(c.a, c.b, x_ref, opts)
+                           : reference::bicgstab(c.a, c.b, x_ref, opts);
+      EXPECT_EQ(rr.iterations, c.iterations);
+      EXPECT_EQ(rr.converged, c.converged);
+      EXPECT_EQ(rf.iterations, rr.iterations);
+      EXPECT_EQ(rf.converged, rr.converged);
+      EXPECT_LT(residual_rel_diff(rf.residual_norm, rr.residual_norm, c.b), 1e-10);
+    }
+  }
+}
+
+// --- The telemetry series are bounded ----------------------------------------
+
+TEST(EngineTelemetry, SeriesStayWithinTheirLimit) {
+  const TelemetryOn guard;
+  const CsrMatrix a = gen::stencil5(20, 20);
+  const auto b = random_vector(static_cast<std::size_t>(a.nrows()), 682);
+  // A cap this large would preallocate 2 x 512 MiB of series if they were
+  // sized to the cap.
+  const engine::SolverEngine eng{
+      a, sim::KernelConfig{}, engine::EngineOptions{.threads = 4, .max_iterations = 1 << 26}};
+  constexpr auto kLimit = static_cast<std::size_t>(solvers::SolveResult::kSeriesLimit);
+  for (const bool cg : {true, false}) {
+    SCOPED_TRACE(cg ? "cg" : "bicgstab");
+    aligned_vector<value_t> x(b.size(), 0.0);
+    const auto r = cg ? eng.cg(b, x) : eng.bicgstab(b, x);
+    EXPECT_TRUE(r.converged);
+    EXPECT_LE(r.residual_history.capacity(), kLimit);
+    EXPECT_LE(r.iter_seconds.capacity(), kLimit);
+    const auto recorded = obs::kCompiledIn ? static_cast<std::size_t>(r.iterations) : 0;
+    EXPECT_EQ(r.residual_history.size(), recorded);
+    EXPECT_EQ(r.iter_seconds.size(), recorded);
+  }
 }
 
 // --- Determinism contract (DESIGN.md §9) -----------------------------------

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/validate.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "sparse/partition.hpp"
@@ -23,13 +24,13 @@ TEST(EqualRows, SplitsEvenly) {
   EXPECT_EQ(parts[0], (RowRange{0, 4}));
   EXPECT_EQ(parts[1], (RowRange{4, 7}));
   EXPECT_EQ(parts[2], (RowRange{7, 10}));
-  validate_partition(parts, 10);
+  check::validate_partition(parts, 10);
 }
 
 TEST(EqualRows, MorePartsThanRowsYieldsEmptyRanges) {
   const auto parts = partition_equal_rows(2, 5);
   ASSERT_EQ(parts.size(), 5u);
-  validate_partition(parts, 2);
+  check::validate_partition(parts, 2);
   int nonempty = 0;
   for (const auto& p : parts) nonempty += p.size() > 0 ? 1 : 0;
   EXPECT_EQ(nonempty, 2);
@@ -47,7 +48,7 @@ TEST(BalancedNnz, MorePartsThanRowsStaysInBounds) {
   coo.add(0, 0, 1.0);
   const CsrMatrix m = CsrMatrix::from_coo(coo);
   const auto parts = partition_balanced_nnz(m, 228);
-  validate_partition(parts, 1);
+  check::validate_partition(parts, 1);
   for (const auto& p : parts) {
     EXPECT_GE(p.begin, 0);
     EXPECT_LE(p.end, 1);
@@ -57,7 +58,7 @@ TEST(BalancedNnz, MorePartsThanRowsStaysInBounds) {
 TEST(BalancedNnz, FewRowsManyParts) {
   const CsrMatrix m = gen::diagonal(3);
   const auto parts = partition_balanced_nnz(m, 16);
-  validate_partition(parts, 3);
+  check::validate_partition(parts, 3);
 }
 
 TEST(BalancedNnz, RejectsNonPositiveParts) {
@@ -75,7 +76,7 @@ TEST(BalancedNnz, SinglePartCoversAll) {
 TEST(BalancedNnz, BalancesUniformMatrixTightly) {
   const CsrMatrix m = gen::diagonal(1000);
   const auto parts = partition_balanced_nnz(m, 8);
-  validate_partition(parts, 1000);
+  check::validate_partition(parts, 1000);
   for (const auto& p : parts) {
     EXPECT_NEAR(static_cast<double>(range_nnz(m, p)), 125.0, 1.0);
   }
@@ -97,25 +98,25 @@ TEST(BalancedNnz, OutperformsEqualRowsOnSkewedMatrix) {
 
 TEST(ValidatePartition, DetectsGap) {
   std::vector<RowRange> parts{{0, 3}, {4, 10}};
-  EXPECT_THROW(validate_partition(parts, 10), std::invalid_argument);
+  EXPECT_THROW(check::validate_partition(parts, 10), std::invalid_argument);
 }
 
 TEST(ValidatePartition, DetectsOverlap) {
   std::vector<RowRange> parts{{0, 5}, {4, 10}};
-  EXPECT_THROW(validate_partition(parts, 10), std::invalid_argument);
+  EXPECT_THROW(check::validate_partition(parts, 10), std::invalid_argument);
 }
 
 TEST(ValidatePartition, DetectsWrongStartEnd) {
   std::vector<RowRange> a{{1, 10}};
-  EXPECT_THROW(validate_partition(a, 10), std::invalid_argument);
+  EXPECT_THROW(check::validate_partition(a, 10), std::invalid_argument);
   std::vector<RowRange> b{{0, 9}};
-  EXPECT_THROW(validate_partition(b, 10), std::invalid_argument);
-  EXPECT_THROW(validate_partition({}, 0), std::invalid_argument);
+  EXPECT_THROW(check::validate_partition(b, 10), std::invalid_argument);
+  EXPECT_THROW(check::validate_partition({}, 0), std::invalid_argument);
 }
 
 TEST(ValidatePartition, DetectsInvertedRange) {
   std::vector<RowRange> parts{{0, 5}, {5, 4}};
-  EXPECT_THROW(validate_partition(parts, 4), std::invalid_argument);
+  EXPECT_THROW(check::validate_partition(parts, 4), std::invalid_argument);
 }
 
 // Property sweep: balanced-nnz partitions are an exact ordered cover and no
@@ -133,7 +134,7 @@ TEST_P(BalancedNnzProperty, ExactCoverAndBoundedImbalance) {
   const int t = GetParam().threads;
   const auto parts = partition_balanced_nnz(m, t);
   ASSERT_EQ(parts.size(), static_cast<std::size_t>(t));
-  validate_partition(parts, m.nrows());
+  check::validate_partition(parts, m.nrows());
 
   // Max row nnz bounds the unavoidable quantization of contiguous splits.
   offset_t max_row = 0;

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/validate.hpp"
 #include "gen/generators.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
@@ -161,8 +162,8 @@ TEST(BuilderAgreement, PartitionersMatchAcrossThreadCounts) {
   for (const int nparts : {1, 3, 7, 32, 61, 240}) {
     const auto ref_nnz = partition_balanced_nnz(m, nparts, 1);
     const auto ref_rows = partition_equal_rows(m.nrows(), nparts, 1);
-    validate_partition(ref_nnz, m.nrows());
-    validate_partition(ref_rows, m.nrows());
+    check::validate_partition(ref_nnz, m.nrows());
+    check::validate_partition(ref_rows, m.nrows());
     for (const int t : kThreadCounts) {
       EXPECT_EQ(partition_balanced_nnz(m, nparts, t), ref_nnz) << "nparts " << nparts;
       EXPECT_EQ(partition_equal_rows(m.nrows(), nparts, t), ref_rows)

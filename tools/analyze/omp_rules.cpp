@@ -38,7 +38,10 @@
 // else branch of a divergent if is not tracked; lambda captures are not
 // analyzed for escapes; a single-statement if whose substatement is a
 // compound statement extends its guard to the next `;`; `a + +b` written
-// without parentheses parses as a postfix increment of `a`.
+// without parentheses parses as a postfix increment of `a`; a break or
+// continue under an if over thread-private state, in a loop that holds
+// barriers, is not flagged (the solver engine exits on private copies of a
+// team sum, which every thread holds to the same bits).
 #include <array>
 #include <cstddef>
 #include <map>
