@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   header.emplace_back("best");
   Table table{header};
 
-  StreamResult probe = stream_triad_probe(3);
   for (const auto& name : picks) {
     const CsrMatrix m = gen::make_suite_matrix(name);
     std::vector<std::string> row{name};
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
     HostProfileOptions opts;
     opts.threads = threads;
     opts.iterations = iterations;
-    opts.stream = &probe;
     const auto plan = tune_host(m, opts);
     best = std::max(best, plan.gflops);
     row.push_back(Table::num(plan.gflops) + " " + to_string(plan.classes) + " " +

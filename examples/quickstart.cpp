@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
             << matrix.nnz() << " nonzeros\n";
 
   // 2. Pick a target platform. `knc()`, `knl()` and `broadwell()` are the
-  //    paper's modeled platforms; host_machine(true) probes this machine.
+  //    paper's modeled platforms; host_machine(true) describes this machine
+  //    with its sysconf cache sizes and the process's STREAM roof.
   const MachineSpec target = knl();
   const Autotuner tuner{target};
 

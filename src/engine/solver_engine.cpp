@@ -73,15 +73,17 @@ class Team {
 };
 
 /// The setup pass: this thread zeroes its rows of `vecs` (their first
-/// touch), and the team returns the stopping threshold tol * ||b|| (tol
-/// when b = 0).
+/// touch; empty spans are skipped), and the team returns the stopping
+/// threshold tol * ||b|| (tol when b = 0).
 double setup(Team& team, std::span<const value_t> b,
              std::initializer_list<std::span<value_t>> vecs, double tol) {
   double bb_p = 0.0;
   team.for_owned([&](RowRange rng) {
     const auto lo = static_cast<std::size_t>(rng.begin);
     const auto len = static_cast<std::size_t>(rng.size());
-    for (const std::span<value_t> v : vecs) std::ranges::fill(v.subspan(lo, len), 0.0);
+    for (const std::span<value_t> v : vecs) {
+      if (!v.empty()) std::ranges::fill(v.subspan(lo, len), 0.0);
+    }
     for (const value_t bk : b.subspan(lo, len)) bb_p += bk * bk;
   });
   const double bn = std::sqrt(team.sum(bb_p).a);
@@ -250,19 +252,22 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
   const kernels::PreparedSpmv& spmv = *prepared_;
 
   // Untouched storage: each thread first-touches its owned rows below.
+  // Without Jacobi z = M^-1 r = r, so z is a view of r and no z array is
+  // kept: one vector less, and one store stream less per iteration.
   const std::size_t n = b.size();
-  NumaArray<value_t> r_buf(n), p_buf(n), ap_buf(n), z_buf(n);
+  NumaArray<value_t> r_buf(n), p_buf(n), ap_buf(n), z_buf(jacobi ? n : 0);
   const auto r = r_buf.span();
   const auto p = p_buf.span();
   const auto ap = ap_buf.span();
-  const auto z = z_buf.span();
+  const auto z_own = z_buf.span();
+  const auto z = jacobi ? z_own : r;
 
 #pragma omp parallel default(none) num_threads(threads_) \
-    shared(solve, parts, jacobi, tol, max_it, inv_diag, b, x, r, p, ap, z, spmv)
+    shared(solve, parts, jacobi, tol, max_it, inv_diag, b, x, r, p, ap, z, z_own, spmv)
   {
     const int tid = omp_get_thread_num();
     Team team{parts, solve.slots()};
-    const double threshold = setup(team, b, {r, p, ap, z}, tol);
+    const double threshold = setup(team, b, {r, p, ap, z_own}, tol);
 
     // r = b - A x; z = M^-1 r; p = z; rz = r·z, rr = r·r.
     (void)product(spmv, x, ap);
@@ -271,7 +276,7 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
       for (index_t i = rng.begin; i < rng.end; ++i) {
         const auto k = static_cast<std::size_t>(i);
         r[k] = b[k] - ap[k];
-        z[k] = jacobi ? inv_diag[k] * r[k] : r[k];
+        if (jacobi) z[k] = inv_diag[k] * r[k];
         p[k] = z[k];
         rz_p += r[k] * z[k];
         rr_p += r[k] * r[k];
@@ -304,7 +309,7 @@ solvers::SolveResult SolverEngine::cg(std::span<const value_t> b,
           const auto k = static_cast<std::size_t>(i);
           x[k] += alpha * p[k];
           r[k] -= alpha * ap[k];
-          z[k] = jacobi ? inv_diag[k] * r[k] : r[k];
+          if (jacobi) z[k] = inv_diag[k] * r[k];
           rz_n += r[k] * z[k];
           rr_n += r[k] * r[k];
         }

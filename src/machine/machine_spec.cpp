@@ -1,6 +1,7 @@
 #include "machine/machine_spec.hpp"
 
 #include <omp.h>
+#include <unistd.h>
 
 #include <algorithm>
 
@@ -11,6 +12,12 @@ namespace sparta {
 namespace {
 constexpr std::size_t scaled(std::size_t bytes) {
   return static_cast<std::size_t>(static_cast<double>(bytes) * kCacheScale);
+}
+
+/// A sysconf cache size in bytes, or 0 when the host reports none.
+std::size_t sysconf_bytes(int name) {
+  const long v = sysconf(name);
+  return v > 0 ? static_cast<std::size_t>(v) : 0;
 }
 }  // namespace
 
@@ -98,11 +105,19 @@ MachineSpec host_machine(bool measure_bandwidth) {
   m.name = "host";
   m.cores = std::max(1, omp_get_max_threads());
   m.smt = 1;
+  // Cache sizes as the host reports them, unscaled: the LLC is L3, else L2,
+  // else 8 MiB; L2 and L1d keep 512 and 32 KiB where sysconf reports none.
+  const std::size_t l1 = sysconf_bytes(_SC_LEVEL1_DCACHE_SIZE);
+  const std::size_t l2 = sysconf_bytes(_SC_LEVEL2_CACHE_SIZE);
+  const std::size_t l3 = sysconf_bytes(_SC_LEVEL3_CACHE_SIZE);
+  m.l1_bytes = l1 > 0 ? l1 : 32ull << 10;
+  m.l2_slice_bytes = l2 > 0 ? l2 : 512ull << 10;
+  m.llc_bytes = l3 > 0 ? l3 : (l2 > 0 ? l2 : 8ull << 20);
+  // Guesses, not measured: the clock, the issue quality, the bandwidth of
+  // one core, the latencies and their overlap, and the SIMD width. The two
+  // STREAM fields hold placeholders until measure_bandwidth reads the roof.
   m.clock_ghz = 2.0;
   m.issue_penalty = 1.0;
-  m.l1_bytes = 32ull << 10;
-  m.l2_slice_bytes = 512ull << 10;
-  m.llc_bytes = 8ull << 20;
   m.stream_main_gbs = 10.0;
   m.stream_llc_gbs = 30.0;
   m.core_bw_gbs = 10.0;
@@ -111,7 +126,7 @@ MachineSpec host_machine(bool measure_bandwidth) {
   m.latency_overlap = 0.85;
   m.simd_bits = 256;
   if (measure_bandwidth) {
-    const StreamResult r = stream_triad_probe();
+    const StreamResult r = host_roof(m.cores);
     if (r.main_gbs > 0.0) m.stream_main_gbs = r.main_gbs;
     if (r.llc_gbs > 0.0) m.stream_llc_gbs = r.llc_gbs;
   }

@@ -36,7 +36,7 @@ struct MachineSpec {
   /// (in-order KNC pays ~2x the cycles of an aggressive OoO core).
   double issue_penalty = 1.0;
 
-  // --- Cache hierarchy (bytes, already kCacheScale-scaled for models) ----
+  // --- Cache hierarchy (bytes; kCacheScale-scaled on the paper platforms) -
   std::size_t l1_bytes = 32 << 10;
   /// Private-per-core slice of the mid-level cache.
   std::size_t l2_slice_bytes = 0;
@@ -91,8 +91,12 @@ MachineSpec broadwell();  // Intel Xeon E5-2699 v4
 /// All three modeled platforms, in paper order.
 const std::vector<MachineSpec>& paper_platforms();
 
-/// A spec describing the actual host this binary runs on (topology from
-/// OpenMP, bandwidth from the STREAM probe when `measure_bandwidth`).
+/// A spec describing the actual host this binary runs on: cores from
+/// OpenMP; cache sizes from sysconf, unscaled (LLC = L3, else L2, else
+/// 8 MiB; L2 and L1d where reported, else 512 and 32 KiB); STREAM
+/// bandwidths from the process's host_roof() for a team of `cores` threads
+/// when `measure_bandwidth`, placeholders otherwise. The clock, latencies
+/// and SIMD width are guesses, not measurements.
 MachineSpec host_machine(bool measure_bandwidth = false);
 
 }  // namespace sparta

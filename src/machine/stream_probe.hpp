@@ -1,7 +1,9 @@
-// Host STREAM-triad bandwidth probe (McCalpin-style), used to fill the
-// `host` MachineSpec. The paper's Table III reports STREAM triad for each
-// platform with DRAM-resident and LLC-resident working sets; we measure both
-// on the host the same way.
+// Host STREAM-triad bandwidth probe (McCalpin-style) and the process's host
+// roof. The paper's Table III reports STREAM triad for each platform with
+// DRAM-resident and LLC-resident working sets; we measure both on the host
+// the same way. The host tuner (tune_host), host_machine(true) and the
+// tools read the roof, which takes one probe per team size and keeps it
+// for the rest of the process (DESIGN.md §10).
 #pragma once
 
 namespace sparta {
@@ -14,9 +16,20 @@ struct StreamResult {
   double llc_gbs = 0.0;
 };
 
-/// Run a(i) = b(i) + s*c(i) over large and small arrays and report the best
-/// of `repeats` timings. The arrays are first-touched by the threads that
+/// Run a(i) = b(i) + s*c(i) over large and small arrays on a team of
+/// `threads` threads (0 = omp_get_max_threads()) and report the best of
+/// `repeats` timings. The arrays are first-touched by the threads that
 /// sweep them; one call at repeats = 3 costs about 12-25 ms on a 4-vCPU VM.
-StreamResult stream_triad_probe(int repeats = 5);
+/// Every call runs the probe and counts it in the telemetry counter
+/// `machine.stream_probe.calls`.
+StreamResult stream_triad_probe(int repeats = 5, int threads = 0);
+
+/// The process's host roof for a team of `threads` threads
+/// (0 = omp_get_max_threads()): the best of 5 repetitions of
+/// stream_triad_probe(), run on the first call for that team size and
+/// returned unchanged by every later one, so a process pays for one probe
+/// per team size. Kept per team size because the bandwidth depends on how
+/// many threads stream. Thread-safe.
+StreamResult host_roof(int threads = 0);
 
 }  // namespace sparta

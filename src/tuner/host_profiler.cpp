@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,11 +22,19 @@ double gflops(const CsrMatrix& m, double seconds) {
   return seconds > 0.0 ? 2.0 * static_cast<double>(m.nnz()) / seconds * 1e-9 : 0.0;
 }
 
-/// Timed repetitions of each bound micro-benchmark, for the trace.
-struct BoundRepetitions {
-  int csr = 0;
-  int ml = 0;
-  int cmp = 0;
+/// What the bounds phase read besides PerfBounds, for the trace.
+struct BoundsRecord {
+  // Timed repetitions of each bound micro-benchmark.
+  int reps_csr = 0;
+  int reps_ml = 0;
+  int reps_cmp = 0;
+  ImbalanceReading imbalance;
+  // The bandwidths P_MB and P_peak were computed from, the LLC size that
+  // chose between them, and whether the caller supplied the reading.
+  double roof_main_gbs = 0.0;
+  double roof_llc_gbs = 0.0;
+  std::size_t llc_bytes = 0;
+  bool roof_override = false;
 };
 
 void require_iterations(const HostProfileOptions& options) {
@@ -37,7 +45,7 @@ void require_iterations(const HostProfileOptions& options) {
 }
 
 PerfBounds profile_bounds(const CsrMatrix& m, const HostProfileOptions& options,
-                          BoundRepetitions& reps) {
+                          BoundsRecord& record) {
   // One pair of operands for the three plans; the bound plans read x at the
   // row indices.
   aligned_vector<value_t> x(static_cast<std::size_t>(std::max(m.ncols(), m.nrows())), 1.0);
@@ -47,7 +55,8 @@ PerfBounds profile_bounds(const CsrMatrix& m, const HostProfileOptions& options,
   // Time one plan, prepared after the previous one is released (the P_ML
   // plan's colind is as large as the matrix's). Each repetition is one
   // region of plan.threads() threads in which every thread times its own
-  // run_team call; returns the repetitions and each thread's mean time.
+  // run_team call; returns the repetitions and, per timed repetition, each
+  // thread's time.
   const auto time_bound = [&](kernels::XAccess access) {
     kernels::KernelConfig config;
     config.x_access = access;
@@ -55,7 +64,7 @@ PerfBounds profile_bounds(const CsrMatrix& m, const HostProfileOptions& options,
         m, kernels::SpmvOptions{.config = config, .threads = std::max(options.threads, 0)}};
     const int nt = plan.threads();
     std::vector<double> call(static_cast<std::size_t>(nt), 0.0);
-    std::vector<double> mean(call.size(), 0.0);
+    std::vector<std::vector<double>> timed;
     bool warm = false;
     const Repetitions r = time_repetitions(
         [&] {
@@ -65,50 +74,49 @@ PerfBounds profile_bounds(const CsrMatrix& m, const HostProfileOptions& options,
             (void)plan.run_team(xv, yv, 1.0, 0.0);
             call[static_cast<std::size_t>(omp_get_thread_num())] = omp_get_wtime() - t0;
           }
-          for (std::size_t i = 0; warm && i < call.size(); ++i) mean[i] += call[i];
+          if (warm) timed.push_back(call);
           warm = true;  // the first call is time_repetitions' warm-up
         },
         options.iterations);
-    for (double& t : mean) t /= r.count;
-    return std::pair{r, std::move(mean)};
+    return std::pair{r, std::move(timed)};
   };
 
   PerfBounds b;
 
-  // Baseline with per-thread timing, averaged over the timed repetitions.
-  Repetitions csr;
-  std::tie(csr, b.thread_seconds) = time_bound(kernels::XAccess::kIndirect);
-  reps.csr = csr.count;
+  // Baseline with per-thread timing: each thread's mean over the timed
+  // repetitions for the trace, and P_IMB from the repetitions one by one.
+  const auto [csr, timed] = time_bound(kernels::XAccess::kIndirect);
+  record.reps_csr = csr.count;
   b.t_csr_seconds = csr.mean;
   b.p_csr = gflops(m, csr.mean);
-
-  std::vector<double> busy;
-  for (double t : b.thread_seconds) {
-    if (t > 1e-3 * csr.mean) busy.push_back(t);
+  b.thread_seconds.assign(timed.front().size(), 0.0);
+  for (const std::vector<double>& rep : timed) {
+    for (std::size_t t = 0; t < rep.size(); ++t) b.thread_seconds[t] += rep[t];
   }
-  const double t_median = stats::median(busy.empty() ? b.thread_seconds : busy);
-  b.p_imb = t_median > 0.0 ? gflops(m, t_median) : b.p_csr;
+  for (double& t : b.thread_seconds) t /= csr.count;
+  record.imbalance = read_imbalance(timed);
+  b.p_imb = b.p_csr * record.imbalance.ratio;
 
   // P_ML: regularized column indices.
   const Repetitions ml = time_bound(kernels::XAccess::kRegularized).first;
-  reps.ml = ml.count;
+  record.reps_ml = ml.count;
   b.p_ml = gflops(m, ml.best);
 
   // P_CMP: unit-stride x.
   const Repetitions cmp = time_bound(kernels::XAccess::kUnitStride).first;
-  reps.cmp = cmp.count;
+  record.reps_cmp = cmp.count;
   b.p_cmp = gflops(m, cmp.best);
 
-  // P_MB / P_peak from the measured STREAM bandwidth.
-  StreamResult probe;
-  if (options.stream != nullptr) {
-    probe = *options.stream;
-  } else {
-    probe = stream_triad_probe(3);
-  }
+  // P_MB / P_peak from the process's host roof for this team size, or from
+  // the caller's reading.
+  record.roof_override = options.stream != nullptr;
+  const StreamResult roof = record.roof_override ? *options.stream : host_roof(options.threads);
   MachineSpec host = host_machine(false);
-  host.stream_main_gbs = probe.main_gbs;
-  host.stream_llc_gbs = std::max(probe.llc_gbs, probe.main_gbs);
+  host.stream_main_gbs = roof.main_gbs;
+  host.stream_llc_gbs = std::max(roof.llc_gbs, roof.main_gbs);
+  record.roof_main_gbs = host.stream_main_gbs;
+  record.roof_llc_gbs = host.stream_llc_gbs;
+  record.llc_bytes = host.llc_bytes;
   b.p_mb = p_mb_bound(m, host);
   b.p_peak = p_peak_bound(m, host);
   return b;
@@ -116,10 +124,26 @@ PerfBounds profile_bounds(const CsrMatrix& m, const HostProfileOptions& options,
 
 }  // namespace
 
+ImbalanceReading read_imbalance(std::span<const std::vector<double>> repetitions) {
+  std::vector<double> ratios;
+  ratios.reserve(repetitions.size());
+  for (const std::vector<double>& times : repetitions) {
+    const double slowest = stats::max(times);
+    std::vector<double> busy;
+    for (double t : times) {
+      if (t > 1e-3 * slowest) busy.push_back(t);
+    }
+    const double median = stats::median(busy);
+    ratios.push_back(median > 0.0 ? slowest / median : 1.0);
+  }
+  if (ratios.empty()) return {};
+  return {stats::median(ratios), stats::min(ratios), stats::max(ratios)};
+}
+
 PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& options) {
   require_iterations(options);
-  BoundRepetitions reps;
-  return profile_bounds(m, options, reps);
+  BoundsRecord record;
+  return profile_bounds(m, options, record);
 }
 
 OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options,
@@ -131,10 +155,10 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
 
   Timer preprocessing;
   PerfBounds bounds;
-  BoundRepetitions reps;
+  BoundsRecord record;
   {
     const obs::ScopedPhase phase{phases, "bounds"};
-    bounds = profile_bounds(m, options, reps);
+    bounds = profile_bounds(m, options, record);
   }
   FeatureVector features;
   {
@@ -194,9 +218,9 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     auto t = std::make_shared<obs::TuneTrace>(plan_trace(
         plan, options.name, m.nrows(), m.nnz(), features, bounds, std::move(phases)));
     t->extra.emplace_back("prep_seconds", prepared->prep_seconds());
-    t->extra.emplace_back("reps_csr", reps.csr);
-    t->extra.emplace_back("reps_ml", reps.ml);
-    t->extra.emplace_back("reps_cmp", reps.cmp);
+    t->extra.emplace_back("reps_csr", record.reps_csr);
+    t->extra.emplace_back("reps_ml", record.reps_ml);
+    t->extra.emplace_back("reps_cmp", record.reps_cmp);
     t->extra.emplace_back("reps_measure", measured.count);
     t->extra.emplace_back("symmetric_tried", symmetric_tried ? 1.0 : 0.0);
     t->extra.emplace_back("symmetric_applied", symmetric_applied ? 1.0 : 0.0);
@@ -205,6 +229,12 @@ OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options
     t->extra.emplace_back("uneven_rows", has_uneven_rows(features, imb) ? 1.0 : 0.0);
     t->extra.emplace_back("decomposed_applied", prepared->decomposed_applied() ? 1.0 : 0.0);
     t->extra.emplace_back("prefetch_applied", prepared->prefetch_applied() ? 1.0 : 0.0);
+    t->extra.emplace_back("imb_ratio_min", record.imbalance.min);
+    t->extra.emplace_back("imb_ratio_max", record.imbalance.max);
+    t->extra.emplace_back("roof_main_gbs", record.roof_main_gbs);
+    t->extra.emplace_back("roof_llc_gbs", record.roof_llc_gbs);
+    t->extra.emplace_back("llc_bytes", static_cast<double>(record.llc_bytes));
+    t->extra.emplace_back("roof_override", record.roof_override ? 1.0 : 0.0);
     plan.trace = std::move(t);
   }
   return plan;

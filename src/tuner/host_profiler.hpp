@@ -6,12 +6,16 @@
 //   P_CSR / P_IMB — timed baseline plan with per-thread durations
 //   P_ML          — timed plan with KernelConfig::x_access = kRegularized
 //   P_CMP         — timed plan with KernelConfig::x_access = kUnitStride
-//   P_MB / P_peak — analytic, anchored on the measured STREAM bandwidth
+//   P_MB / P_peak — analytic, anchored on the process's host roof
+//                   (host_roof, one STREAM probe per team size)
 // The three plans are kernels::PreparedSpmv plans, prepared one at a time
 // over one pair of operands; each repetition is one region of
 // plan.threads() threads in which every thread times its own run_team call.
 // classify_profile() then consumes the measured bounds unchanged.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "machine/stream_probe.hpp"
 #include "tuner/optimizer.hpp"
@@ -26,9 +30,10 @@ struct HostProfileOptions {
   /// sum to a fixed 0.25 s budget: at least min(3, iterations) times, at
   /// most `iterations` times. (The paper times a fixed 64 runs.)
   int iterations = 16;
-  /// Reuse a previous STREAM probe instead of re-measuring (one probe
-  /// costs about 12-25 ms on a 4-vCPU VM; pass the result when profiling
-  /// many matrices).
+  /// The STREAM reading P_MB and P_peak are anchored on. Null reads the
+  /// process's host roof for this team size (host_roof(threads)), which
+  /// probes once per process; a reading passed here replaces it for this
+  /// call, and no probe runs.
   const StreamResult* stream = nullptr;
   /// Matrix label recorded in the trace.
   std::string name{};
@@ -37,8 +42,24 @@ struct HostProfileOptions {
   bool collect_trace = obs::enabled();
 };
 
-/// Measure all per-class bounds on the host. Throws std::invalid_argument
-/// when `options.iterations` < 1.
+/// The imbalance statistic behind the host P_IMB (paper §III-B). For each
+/// timed repetition of the baseline, its slowest thread's time over its
+/// median thread's time, counting only threads that worked (time above
+/// 1e-3 of the slowest: a thread without rows would drag the median to 0).
+/// `ratio` = P_IMB / P_CSR is the median over the repetitions, so one
+/// repetition with a straggling thread does not set it; `min` and `max`
+/// are the spread of the per-repetition ratios. All 1 for no repetition.
+struct ImbalanceReading {
+  double ratio = 1.0;
+  double min = 1.0;
+  double max = 1.0;
+};
+ImbalanceReading read_imbalance(std::span<const std::vector<double>> repetitions);
+
+/// Measure all per-class bounds on the host. PerfBounds::thread_seconds
+/// holds each thread's mean baseline time; P_IMB is P_CSR times
+/// read_imbalance(...).ratio over the timed repetitions. Throws
+/// std::invalid_argument when `options.iterations` < 1.
 PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& options = {});
 
 /// Full profile-guided tuning on the host: measure bounds, classify, select
@@ -75,8 +96,13 @@ PerfBounds measure_bounds_host(const CsrMatrix& m, const HostProfileOptions& opt
 /// `bounds`), the uneven-rows test's outcome (uneven_rows) and whether the
 /// plan measured last runs the long-row phases
 /// (PreparedSpmv::decomposed_applied) and the prefetch
-/// (PreparedSpmv::prefetch_applied). Throws std::invalid_argument when
-/// `options.iterations` < 1.
+/// (PreparedSpmv::prefetch_applied). It also records the spread of the
+/// per-repetition imbalance ratios (imb_ratio_min, imb_ratio_max; see
+/// read_imbalance) and the roof the bounds used: roof_main_gbs and
+/// roof_llc_gbs (the bandwidths P_MB and P_peak were computed from),
+/// llc_bytes (the host_machine() LLC size that chose between them) and
+/// roof_override (1 when `options.stream` supplied the reading). Throws
+/// std::invalid_argument when `options.iterations` < 1.
 OptimizationPlan tune_host(const CsrMatrix& m, const HostProfileOptions& options = {},
                            const ProfileThresholds& thresholds = {},
                            const ImbPolicy& imb = {});

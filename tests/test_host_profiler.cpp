@@ -1,18 +1,24 @@
 // Tests for the host profiling path: real timed bounds, the per-thread
-// baseline times, and end-to-end host tuning. These run real kernels on
-// whatever machine executes the suite, so assertions stick to invariants
-// that hold regardless of the hardware.
+// baseline times, the imbalance statistic, the host roof the bounds read,
+// and end-to-end host tuning. These run real kernels on whatever machine
+// executes the suite, so assertions stick to invariants that hold
+// regardless of the hardware.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/validate_tuner.hpp"
 #include "common/timer.hpp"
 #include "gen/generators.hpp"
 #include "kernels/kernel_registry.hpp"
+#include "machine/machine_spec.hpp"
+#include "obs/telemetry.hpp"
 #include "sparse/partition.hpp"
+#include "tuner/bounds.hpp"
 #include "tuner/host_profiler.hpp"
 
 namespace sparta {
@@ -83,8 +89,8 @@ TEST(HostBounds, InvariantsHold) {
   EXPECT_EQ(b.thread_seconds.size(), 2u);
   // Analytic roofs preserve their ordering regardless of measurement noise.
   EXPECT_GT(b.p_peak, b.p_mb);
-  // The imbalance bound never falls meaningfully below the baseline.
-  EXPECT_GE(b.p_imb, 0.5 * b.p_csr);
+  // P_IMB = P_CSR x (slowest / median thread), a ratio of at least 1.
+  EXPECT_GE(b.p_imb, b.p_csr);
 }
 
 TEST(HostBounds, ReusesProvidedStreamProbe) {
@@ -106,6 +112,122 @@ TEST(HostBounds, ReusesProvidedStreamProbe) {
       2.0 * static_cast<double>(m.nnz()) /
       ((static_cast<double>(m.bytes()) + xy) / (10.0 * 1e9)) * 1e-9;
   EXPECT_NEAR(b.p_mb, expect, 1e-9);
+}
+
+// --- The imbalance statistic -------------------------------------------------
+
+/// `reps` repetitions of a team of `threads` threads that each take 1 s.
+std::vector<std::vector<double>> balanced(int reps, int threads) {
+  return std::vector<std::vector<double>>(static_cast<std::size_t>(reps),
+                                          std::vector<double>(static_cast<std::size_t>(threads), 1.0));
+}
+
+TEST(HostImbalance, OneStragglingRepetitionReadsBalanced) {
+  auto times = balanced(5, 4);
+  times[2][1] = 3.0;  // one descheduled thread in one repetition
+  const ImbalanceReading r = read_imbalance(times);
+  EXPECT_LT(r.ratio, ProfileThresholds{}.t_imb);
+  EXPECT_DOUBLE_EQ(r.ratio, 1.0);
+  EXPECT_DOUBLE_EQ(r.min, 1.0);
+  EXPECT_DOUBLE_EQ(r.max, 3.0);  // the straggler stays visible in the spread
+}
+
+TEST(HostImbalance, ThreadSlowInEveryRepetitionReadsImbalanced) {
+  auto times = balanced(5, 4);
+  for (std::size_t rep = 0; rep < times.size(); ++rep) {
+    times[rep][3] = rep == 0 ? 1.6 : 1.5;
+  }
+  const ImbalanceReading r = read_imbalance(times);
+  EXPECT_GT(r.ratio, ProfileThresholds{}.t_imb);
+  EXPECT_DOUBLE_EQ(r.ratio, 1.5);
+  EXPECT_DOUBLE_EQ(r.min, 1.5);
+  EXPECT_DOUBLE_EQ(r.max, 1.6);
+}
+
+TEST(HostImbalance, IdleThreadsAndEmptyInputs) {
+  // A thread without rows does not drag the median to 0.
+  const std::vector<std::vector<double>> idle{{2.0, 1.0, 1.0, 0.0}, {2.0, 1.0, 1.0, 0.0},
+                                              {2.0, 1.0, 1.0, 0.0}};
+  EXPECT_DOUBLE_EQ(read_imbalance(idle).ratio, 2.0);
+  const ImbalanceReading none = read_imbalance({});
+  EXPECT_DOUBLE_EQ(none.ratio, 1.0);
+  EXPECT_DOUBLE_EQ(none.min, 1.0);
+  EXPECT_DOUBLE_EQ(none.max, 1.0);
+  EXPECT_DOUBLE_EQ(read_imbalance(balanced(3, 1)).ratio, 1.0);
+}
+
+// --- The host roof ---------------------------------------------------------------
+
+/// Telemetry on for the scope, restored after it.
+struct TelemetryOn {
+  bool saved = obs::enabled();
+  TelemetryOn() { obs::set_enabled(true); }
+  ~TelemetryOn() { obs::set_enabled(saved); }
+};
+
+/// STREAM probe runs counted so far in this process (while telemetry was on).
+double probe_runs() {
+  for (const auto& s : obs::Registry::global().snapshot()) {
+    if (s.name == std::string_view{"machine.stream_probe.calls"}) return s.value;
+  }
+  return 0.0;
+}
+
+TEST(HostRoof, TuneHostProbesOnceAndTracesTheRoof) {
+  const TelemetryOn guard;
+  const CsrMatrix m = gen::banded(6000, 60, 6, 816);
+  HostProfileOptions opts;
+  opts.threads = 3;
+  opts.iterations = 2;
+  const double before = probe_runs();
+  const auto first = checked_tune(m, opts, no_mb_imb());
+  const auto second = checked_tune(m, opts, no_mb_imb());
+  const StreamResult roof = host_roof(3);
+  if constexpr (obs::kCompiledIn) {
+    EXPECT_LE(probe_runs() - before, 1.0);
+  }
+  ASSERT_NE(first.trace, nullptr);
+  ASSERT_NE(second.trace, nullptr);
+  for (const auto* t : {first.trace.get(), second.trace.get()}) {
+    EXPECT_EQ(t->value_or_zero("roof_main_gbs"), roof.main_gbs);
+    EXPECT_EQ(t->value_or_zero("roof_llc_gbs"), std::max(roof.llc_gbs, roof.main_gbs));
+    EXPECT_EQ(t->value_or_zero("llc_bytes"), static_cast<double>(host_machine().llc_bytes));
+    EXPECT_EQ(t->value_or_zero("roof_override"), 0.0);
+  }
+}
+
+TEST(HostRoof, OverrideReplacesTheRoof) {
+  const TelemetryOn guard;
+  const CsrMatrix m = gen::banded(6000, 60, 6, 817);
+  StreamResult given;
+  given.main_gbs = 12.0;
+  given.llc_gbs = 7.0;
+  HostProfileOptions opts;
+  opts.threads = 2;
+  opts.iterations = 2;
+  opts.stream = &given;
+  const double before = probe_runs();
+  const auto plan = checked_tune(m, opts, no_mb_imb());
+  EXPECT_EQ(probe_runs() - before, 0.0);
+  ASSERT_NE(plan.trace, nullptr);
+  EXPECT_EQ(plan.trace->value_or_zero("roof_override"), 1.0);
+  EXPECT_EQ(plan.trace->value_or_zero("roof_main_gbs"), 12.0);
+  EXPECT_EQ(plan.trace->value_or_zero("roof_llc_gbs"), 12.0);  // never below main
+}
+
+TEST(HostRoof, CircuitWorkingSetReadsTheLlcBandwidth) {
+  // The benchmark's circuit5M analogue: about 15.7 MB of SpMV working set,
+  // above the 8 MiB the host spec assumed before it read sysconf and well
+  // inside a 105 MiB LLC.
+  const CsrMatrix m = gen::make_diagonally_dominant(gen::circuit_like(120000, 4, 8, 60000, 115), 115);
+  EXPECT_NEAR(static_cast<double>(m.spmv_working_set_bytes()) * 1e-6, 15.7, 0.1);
+  MachineSpec spec = host_machine(false);
+  spec.stream_main_gbs = 20.0;
+  spec.stream_llc_gbs = 60.0;
+  spec.llc_bytes = std::size_t{105} << 20;
+  EXPECT_DOUBLE_EQ(effective_bandwidth_gbs(m, spec), 60.0);
+  spec.llc_bytes = std::size_t{8} << 20;
+  EXPECT_DOUBLE_EQ(effective_bandwidth_gbs(m, spec), 20.0);
 }
 
 TEST(HostTune, ReturnsExecutablePlanWithRealCosts) {
