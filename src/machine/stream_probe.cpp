@@ -56,6 +56,10 @@ int team_size(int threads) { return threads > 0 ? threads : std::max(1, omp_get_
 /// Repetitions of the probe behind host_roof().
 constexpr int kRoofRepeats = 5;
 
+/// Elements of each array of the LLC-resident set: 1.5 MiB in all,
+/// L2/L3-resident.
+constexpr std::size_t kLlcElems = (3ull << 19) / (3 * sizeof(double));
+
 }  // namespace
 
 StreamResult stream_triad_probe(int repeats, int threads) {
@@ -67,8 +71,7 @@ StreamResult stream_triad_probe(int repeats, int threads) {
   // reads LLC bandwidth there. A DRAM-resident set of 4x the LLC would add
   // more than 1.2 GB to the peak RSS of a process on such a host.
   r.main_gbs = triad_gbs((64ull << 20) / (3 * sizeof(double)), repeats, nt);
-  // 1.5 MiB working set: L2/L3-resident.
-  r.llc_gbs = triad_gbs((3ull << 19) / (3 * sizeof(double)), repeats * 4, nt);
+  r.llc_gbs = triad_gbs(kLlcElems, repeats * 4, nt);
   return r;
 }
 
@@ -78,7 +81,16 @@ StreamResult host_roof(int threads) {
   const int nt = team_size(threads);
   const std::lock_guard lock{mutex};
   auto it = roofs.find(nt);
-  if (it == roofs.end()) it = roofs.emplace(nt, stream_triad_probe(kRoofRepeats, nt)).first;
+  if (it == roofs.end()) {
+    it = roofs.emplace(nt, stream_triad_probe(kRoofRepeats, nt)).first;
+  } else {
+    // The LLC set sweeps in well under a millisecond, so every later call
+    // sweeps it again and keeps the best: a first reading taken while one
+    // or two vCPUs ran 2-4x slower would otherwise hold the LLC roof low
+    // for the whole process.
+    it->second.llc_gbs =
+        std::max(it->second.llc_gbs, triad_gbs(kLlcElems, kRoofRepeats * 4, nt));
+  }
   return it->second;
 }
 

@@ -3,7 +3,8 @@
 // DRAM-resident and LLC-resident working sets; we measure both on the host
 // the same way. The host tuner (tune_host), host_machine(true) and the
 // tools read the roof, which takes one probe per team size and keeps it
-// for the rest of the process (DESIGN.md §10).
+// for the rest of the process, refreshing only its LLC reading (DESIGN.md
+// §10).
 #pragma once
 
 namespace sparta {
@@ -26,10 +27,12 @@ StreamResult stream_triad_probe(int repeats = 5, int threads = 0);
 
 /// The process's host roof for a team of `threads` threads
 /// (0 = omp_get_max_threads()): the best of 5 repetitions of
-/// stream_triad_probe(), run on the first call for that team size and
-/// returned unchanged by every later one, so a process pays for one probe
-/// per team size. Kept per team size because the bandwidth depends on how
-/// many threads stream. Thread-safe.
+/// stream_triad_probe(), run on the first call for that team size, so a
+/// process pays for one probe per team size. Later calls return the same
+/// `main_gbs`; they sweep the LLC-resident set again (under a millisecond,
+/// not counted as a probe run) and keep the best `llc_gbs` seen, so the LLC
+/// reading only rises. Kept per team size because the bandwidth depends on
+/// how many threads stream. Thread-safe.
 StreamResult host_roof(int threads = 0);
 
 }  // namespace sparta

@@ -188,9 +188,12 @@ TEST(HostRoof, TuneHostProbesOnceAndTracesTheRoof) {
   }
   ASSERT_NE(first.trace, nullptr);
   ASSERT_NE(second.trace, nullptr);
+  // One main reading; the LLC reading a later call used is never lower.
+  EXPECT_GE(second.trace->value_or_zero("roof_llc_gbs"),
+            first.trace->value_or_zero("roof_llc_gbs"));
   for (const auto* t : {first.trace.get(), second.trace.get()}) {
     EXPECT_EQ(t->value_or_zero("roof_main_gbs"), roof.main_gbs);
-    EXPECT_EQ(t->value_or_zero("roof_llc_gbs"), std::max(roof.llc_gbs, roof.main_gbs));
+    EXPECT_LE(t->value_or_zero("roof_llc_gbs"), std::max(roof.llc_gbs, roof.main_gbs));
     EXPECT_EQ(t->value_or_zero("llc_bytes"), static_cast<double>(host_machine().llc_bytes));
     EXPECT_EQ(t->value_or_zero("roof_override"), 0.0);
   }

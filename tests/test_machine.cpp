@@ -139,9 +139,10 @@ TEST(HostRoof, ProbesOncePerTeamSize) {
   const StreamResult again = host_roof(1);
   EXPECT_GT(first.main_gbs, 0.0);
   EXPECT_GT(first.llc_gbs, 0.0);
-  // The same reading, not a second one that happens to agree.
+  // The same main reading, not a second one that happens to agree; the
+  // LLC set is swept again and only a better reading replaces the first.
   EXPECT_EQ(again.main_gbs, first.main_gbs);
-  EXPECT_EQ(again.llc_gbs, first.llc_gbs);
+  EXPECT_GE(again.llc_gbs, first.llc_gbs);
   if constexpr (obs::kCompiledIn) {
     EXPECT_LE(probe_runs() - before, 1.0);
   }
@@ -160,7 +161,7 @@ TEST(HostRoof, FeedsHostMachine) {
   EXPECT_GT(m.stream_main_gbs, 0.0);
   EXPECT_GT(m.stream_llc_gbs, 0.0);
   EXPECT_EQ(m.stream_main_gbs, roof.main_gbs);
-  EXPECT_EQ(m.stream_llc_gbs, roof.llc_gbs);
+  EXPECT_LE(m.stream_llc_gbs, roof.llc_gbs);  // the later call may have read a better LLC sweep
   EXPECT_EQ(host_roof().main_gbs, roof.main_gbs);  // 0 = omp_get_max_threads() = cores
 }
 
